@@ -5,42 +5,94 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .controller import ControllerParams
 from .fuzzy import DEFAULT_CENTERS, FuzzyEstimator
 from .plant import BlowUpError, PlantParams, PlantState
+from .sim import SERIES as CSV_COLUMNS
 from .sim import MonitorParams, Scenario, SimResult, run
 
-CSV_HEADER = "t,x,xd,xerr,v,PL,u,uhat,d,dhat,e,Ps"
-
-_CSV_COLUMNS = ("t", "x", "xd", "xerr", "v", "PL", "u", "uhat", "d", "dhat", "e", "Ps")
-
-# config key -> PlantParams field
-_PLANT_KEYS = {
-    "ps": "Ps", "rho": "rho", "cd": "Cd", "w": "w", "ap": "Ap", "ctp": "Ctp",
-    "beta_e": "beta_e", "vt": "Vt", "mt": "Mt", "bp": "Bp", "k": "K",
-    "delta_l": "delta_l", "delta_r": "delta_r", "kv": "kv",
-}
-_CONTROLLER_KEYS = ("lambda", "c0", "c1", "kappa", "phi")
-_SCENARIO_KEYS = (
-    "duration", "dt_plant", "dt_control", "amplitude", "omega",
-    "supply_pressure_mode", "x0", "v0", "pl0", "freeze_adaptation",
-)
-_FUZZY_KEYS = ("centers", "d_hat_init")
-_MONITOR_KEYS = ("monitor_window", "monitor_tol", "monitor_e_threshold", "transient_fraction")
-_OUTPUT_KEYS = ("out", "emit_plot_data")
-
-KNOWN_KEYS = (
-    tuple(_PLANT_KEYS)
-    + tuple("model_" + k for k in _PLANT_KEYS)
-    + _CONTROLLER_KEYS + _SCENARIO_KEYS + _FUZZY_KEYS + _MONITOR_KEYS + _OUTPUT_KEYS
-)
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 class ConfigError(ValueError):
     """A configuration file could not be parsed or violates an invariant."""
+
+
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("true", "yes", "on", "1"):
+        return True
+    if value in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(text)
+
+
+class _Kind(NamedTuple):
+    """How a value reads from the text of a config line and prints back to it."""
+
+    name: str                       # as in "cannot parse ... as a number"
+    parse: Callable[[str], Any]     # raises ValueError on bad text
+    show: Callable[[Any], str]
+
+
+_NUMBER = _Kind("a number", float, repr)
+_NUMBERS = _Kind(
+    "a list of numbers",
+    lambda text: tuple(float(tok) for tok in text.replace(",", " ").split()),
+    lambda values: ", ".join(repr(v) for v in values),
+)
+_BOOL = _Kind("a boolean", _parse_bool, lambda value: str(value).lower())
+_TEXT = _Kind("text", str, str)
+
+# config key -> PlantParams field; each key has a "model_" twin for the controller's copy
+_PLANT_FIELDS = {
+    "ps": "Ps", "rho": "rho", "cd": "Cd", "w": "w", "ap": "Ap", "ctp": "Ctp",
+    "beta_e": "beta_e", "vt": "Vt", "mt": "Mt", "bp": "Bp", "k": "K",
+    "delta_l": "delta_l", "delta_r": "delta_r", "kv": "kv",
+}
+
+# The one config schema, in dump order: key -> (target, field, kind). The target
+# names the object that holds the field (see config_dump). Unset fields keep their
+# dataclass's default, and unset model_* fields copy the resolved plant. "lambda"
+# is no field: it only seeds c0 = lambda^2 and c1 = 2*lambda, and is never dumped.
+_SCHEMA: dict[str, tuple[str, str, _Kind]] = {
+    **{key: ("plant", field, _NUMBER) for key, field in _PLANT_FIELDS.items()},
+    **{"model_" + key: ("model", field, _NUMBER) for key, field in _PLANT_FIELDS.items()},
+    "lambda": ("controller", "lambda", _NUMBER),
+    **{key: ("controller", key, _NUMBER) for key in ("c0", "c1", "kappa", "phi")},
+    "centers": ("estimator", "centers", _NUMBERS),
+    "d_hat_init": ("estimator", "d_hat", _NUMBERS),
+    **{key: ("scenario", key, _NUMBER)
+       for key in ("duration", "dt_plant", "dt_control", "amplitude", "omega")},
+    "supply_pressure_mode": ("scenario", "supply_pressure_mode", _TEXT),
+    "x0": ("initial_state", "x", _NUMBER),
+    "v0": ("initial_state", "v", _NUMBER),
+    "pl0": ("initial_state", "PL", _NUMBER),
+    "freeze_adaptation": ("scenario", "freeze_adaptation", _BOOL),
+    "monitor_window": ("monitor", "window", _NUMBER),
+    "monitor_tol": ("monitor", "tol", _NUMBER),
+    "monitor_e_threshold": ("monitor", "e_threshold", _NUMBER),
+    "transient_fraction": ("monitor", "transient_fraction", _NUMBER),
+    "emit_plot_data": ("run", "emit_plot_data", _BOOL),
+    "out": ("run", "out", _TEXT),
+}
+
+KNOWN_KEYS = tuple(_SCHEMA)
+
+# --scenario names -> supply_pressure_mode values
+_SCENARIOS = {"constant-ps": "constant", "varying-ps": "varying"}
+
+# --batch: output name -> scenario fields changed from the resolved config
+_BATCH = {
+    "constant_ps": {"supply_pressure_mode": "constant"},
+    "varying_ps": {"supply_pressure_mode": "varying"},
+    "constant_ps_frozen": {"supply_pressure_mode": "constant", "freeze_adaptation": True},
+}
 
 
 @dataclass(frozen=True)
@@ -59,6 +111,7 @@ class RunConfig:
 def parse_kv(text: str) -> dict[str, str]:
     """Parse 'key = value' lines; '#' starts a comment, blank lines are skipped."""
     raw: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -67,192 +120,119 @@ def parse_kv(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, value = stripped.split("=", 1)
         key = key.strip().lower()
-        if key not in KNOWN_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key!r}, first set on line {first_line[key]}"
+            )
+        first_line[key] = lineno
         raw[key] = value.strip()
     return raw
 
 
-def _get_float(raw: dict[str, str], key: str, default: float) -> float:
-    if key not in raw:
-        return default
-    try:
-        return float(raw[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw[key]!r} as a number") from None
-
-
-def _get_bool(raw: dict[str, str], key: str, default: bool) -> bool:
-    if key not in raw:
-        return default
-    value = raw[key].lower()
-    if value in ("true", "yes", "on", "1"):
-        return True
-    if value in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"key {key!r}: cannot parse {raw[key]!r} as a boolean")
-
-
-def _get_floats(raw: dict[str, str], key: str) -> list[float] | None:
-    if key not in raw:
-        return None
-    tokens = raw[key].replace(",", " ").split()
-    try:
-        return [float(tok) for tok in tokens]
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw[key]!r} as a list of numbers") from None
-
-
 def resolve_config(raw: dict[str, str]) -> RunConfig:
-    """Fill unset keys with the defaults and build the validated parameter sets."""
-    unknown = set(raw) - set(KNOWN_KEYS)
+    """Parse the given keys over the dataclass defaults and build the validated parameter sets."""
+    unknown = sorted(set(raw) - set(_SCHEMA))
     if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
+        raise ConfigError(f"unknown key {unknown[0]!r}")
 
-    defaults = PlantParams()
-    plant_kwargs = {
-        field: _get_float(raw, key, getattr(defaults, field))
-        for key, field in _PLANT_KEYS.items()
-    }
+    given: dict[str, dict[str, Any]] = defaultdict(dict)
+    for key, (target, field, kind) in _SCHEMA.items():
+        if key in raw:
+            try:
+                given[target][field] = kind.parse(raw[key])
+            except ValueError:
+                raise ConfigError(
+                    f"key {key!r}: cannot parse {raw[key]!r} as {kind.name}"
+                ) from None
+
     try:
-        plant = PlantParams(**plant_kwargs)
+        plant = PlantParams(**given["plant"])
     except ValueError as err:
         raise ConfigError(str(err)) from None
-
-    model_kwargs = {
-        field: _get_float(raw, "model_" + key, getattr(plant, field))
-        for key, field in _PLANT_KEYS.items()
-    }
     try:
-        model = PlantParams(**model_kwargs)
+        model = replace(plant, **given["model"])
     except ValueError as err:
         raise ConfigError(f"controller model: {err}") from None
 
-    lam = _get_float(raw, "lambda", 8.0)
-    if not lam > 0.0:
-        raise ConfigError(f"lambda must be strictly positive, got {lam}")
-    c0 = _get_float(raw, "c0", lam * lam)
-    c1 = _get_float(raw, "c1", 2.0 * lam)
+    gains = given["controller"]
+    if "lambda" in gains:
+        lam = gains.pop("lambda")
+        if not lam > 0.0:
+            raise ConfigError(f"lambda must be strictly positive, got {lam}")
+        gains.setdefault("c0", lam * lam)
+        gains.setdefault("c1", 2.0 * lam)
+
+    # unset consequents start at zero; a single value seeds every rule
+    est = given["estimator"]
+    centers = est.setdefault("centers", DEFAULT_CENTERS)
+    if len(est.setdefault("d_hat", (0.0,))) == 1:
+        est["d_hat"] *= len(centers)
+
     try:
-        controller = ControllerParams(
-            c0=c0,
-            c1=c1,
-            kappa=_get_float(raw, "kappa", 1.0),
-            phi=_get_float(raw, "phi", 0.5),
-            model=model,
-        )
+        controller = ControllerParams(**gains, model=model)
+        estimator = FuzzyEstimator(**est)
+        initial_state = PlantState(**given["initial_state"])
+        scenario = Scenario(**given["scenario"], initial_state=initial_state)
+        monitor = MonitorParams(**given["monitor"], centers=estimator.centers)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-
-    centers = _get_floats(raw, "centers")
-    d_hat_init = _get_floats(raw, "d_hat_init")
-    grid = tuple(centers) if centers is not None else DEFAULT_CENTERS
-    if d_hat_init is None:
-        d_hat = (0.0,) * len(grid)
-    elif len(d_hat_init) == 1:
-        d_hat = tuple(d_hat_init) * len(grid)
-    else:
-        d_hat = tuple(d_hat_init)
-    try:
-        est = FuzzyEstimator(grid, d_hat)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-    mode = raw.get("supply_pressure_mode", "constant")
-    try:
-        scenario = Scenario(
-            duration=_get_float(raw, "duration", 120.0),
-            dt_plant=_get_float(raw, "dt_plant", 1.0 / 800.0),
-            dt_control=_get_float(raw, "dt_control", 1.0 / 400.0),
-            amplitude=_get_float(raw, "amplitude", 0.5),
-            omega=_get_float(raw, "omega", 0.1),
-            supply_pressure_mode=mode,
-            initial_state=PlantState(
-                x=_get_float(raw, "x0", 0.0),
-                v=_get_float(raw, "v0", 0.0),
-                PL=_get_float(raw, "pl0", 0.0),
-            ),
-            freeze_adaptation=_get_bool(raw, "freeze_adaptation", False),
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-
-    monitor = MonitorParams(
-        window=_get_float(raw, "monitor_window", 10.0),
-        tol=_get_float(raw, "monitor_tol", 1.05),
-        transient_fraction=_get_float(raw, "transient_fraction", 0.25),
-        e_threshold=_get_float(raw, "monitor_e_threshold", 0.1),
-        centers=est.centers,
-    )
-    if not 0.0 <= monitor.transient_fraction < 1.0:
-        raise ConfigError(
-            f"transient_fraction must lie in [0, 1), got {monitor.transient_fraction}"
-        )
-
-    return RunConfig(
-        plant=plant,
-        controller=controller,
-        estimator=est,
-        scenario=scenario,
-        monitor=monitor,
-        out=raw.get("out"),
-        emit_plot_data=_get_bool(raw, "emit_plot_data", False),
-    )
+    return RunConfig(plant, controller, estimator, scenario, monitor, **given["run"])
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read and resolve a flat key=value configuration file."""
+def _read_kv(path: str | Path) -> dict[str, str]:
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
-    return resolve_config(parse_kv(text))
+    return parse_kv(text)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Read and resolve a flat key=value configuration file."""
+    return resolve_config(_read_kv(path))
 
 
 def config_dump(cfg: RunConfig) -> str:
-    """Flat key=value dump of a resolved config; reloading it resolves to the same config."""
-    p, m, c, s, mon = cfg.plant, cfg.controller.model, cfg.controller, cfg.scenario, cfg.monitor
-    lines = [f"{key} = {getattr(p, field)!r}" for key, field in _PLANT_KEYS.items()]
-    lines += [
-        f"model_{key} = {getattr(m, field)!r}"
-        for key, field in _PLANT_KEYS.items()
-        if getattr(m, field) != getattr(p, field)
-    ]
-    lines += [
-        f"c0 = {c.c0!r}",
-        f"c1 = {c.c1!r}",
-        f"kappa = {c.kappa!r}",
-        f"phi = {c.phi!r}",
-        "centers = " + ", ".join(repr(v) for v in cfg.estimator.centers),
-        "d_hat_init = " + ", ".join(repr(v) for v in cfg.estimator.d_hat),
-        f"duration = {s.duration!r}",
-        f"dt_plant = {s.dt_plant!r}",
-        f"dt_control = {s.dt_control!r}",
-        f"amplitude = {s.amplitude!r}",
-        f"omega = {s.omega!r}",
-        f"supply_pressure_mode = {s.supply_pressure_mode}",
-        f"x0 = {s.initial_state.x!r}",
-        f"v0 = {s.initial_state.v!r}",
-        f"pl0 = {s.initial_state.PL!r}",
-        f"freeze_adaptation = {str(s.freeze_adaptation).lower()}",
-        f"monitor_window = {mon.window!r}",
-        f"monitor_tol = {mon.tol!r}",
-        f"monitor_e_threshold = {mon.e_threshold!r}",
-        f"transient_fraction = {mon.transient_fraction!r}",
-        f"emit_plot_data = {str(cfg.emit_plot_data).lower()}",
-    ]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
+    """Flat key=value dump of a resolved config; reloading it resolves to the same config.
+
+    Every key is written except lambda, an unset out, and the model_* keys
+    that only repeat the plant's value.
+    """
+    targets = {
+        "plant": cfg.plant, "model": cfg.controller.model, "controller": cfg.controller,
+        "estimator": cfg.estimator, "scenario": cfg.scenario,
+        "initial_state": cfg.scenario.initial_state, "monitor": cfg.monitor, "run": cfg,
+    }
+    lines = []
+    for key, (target, field, kind) in _SCHEMA.items():
+        value = getattr(targets[target], field, None)
+        if value is None or (target == "model" and value == getattr(cfg.plant, field)):
+            continue
+        lines.append(f"{key} = {kind.show(value)}")
     return "\n".join(lines) + "\n"
 
 
-def write_csv(result: SimResult, path: str | Path) -> None:
-    """Write the control-rate series with 12 significant digits and LF endings."""
-    cols = [getattr(result, name) for name in _CSV_COLUMNS]
+def _flag_overrides(args: argparse.Namespace) -> dict[str, str]:
+    """Raw config text of the value flags, each stored under its config key."""
+    raw = {key: value for key, value in vars(args).items()
+           if key in _SCHEMA and value is not None}
+    if "supply_pressure_mode" in raw:
+        name = raw["supply_pressure_mode"]
+        if name not in _SCENARIOS:
+            raise ConfigError(f"--scenario must be one of {', '.join(_SCENARIOS)}, got {name!r}")
+        raw["supply_pressure_mode"] = _SCENARIOS[name]
+    return raw
+
+
+def write_csv(result: SimResult, path: str | Path, columns: tuple[str, ...] = CSV_COLUMNS) -> None:
+    """Write the named series (all of them by default) with 12 significant digits and LF endings."""
+    series = [getattr(result, name) for name in columns]
     try:
         with open(path, "w", newline="\n") as handle:
-            handle.write(CSV_HEADER + "\n")
-            for row in zip(*cols):
+            handle.write(",".join(columns) + "\n")
+            for row in zip(*series):
                 handle.write(",".join(f"{value:.12g}" for value in row) + "\n")
     except OSError as err:
         raise OSError(f"cannot write CSV to {path}: {err}") from err
@@ -268,13 +248,9 @@ def write_plot_data(result: SimResult, out_path: str | Path) -> list[Path]:
         "dz_estimate": ("t", "d", "dhat"),
     }
     written = []
-    for suffix, names in panels.items():
+    for suffix, columns in panels.items():
         path = base.with_name(f"{base.stem}_{suffix}.csv")
-        cols = [getattr(result, name) for name in names]
-        with open(path, "w", newline="\n") as handle:
-            handle.write(",".join(names) + "\n")
-            for row in zip(*cols):
-                handle.write(",".join(f"{value:.12g}" for value in row) + "\n")
+        write_csv(result, path, columns)
         written.append(path)
     return written
 
@@ -295,54 +271,16 @@ def summarize(result: SimResult, elapsed: float | None = None) -> None:
         print(f"wall-clock time                   : {elapsed:.2f} s")
 
 
-def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    scenario = cfg.scenario
-    if args.scenario is not None:
-        mode = {"constant-ps": "constant", "varying-ps": "varying"}[args.scenario]
-        scenario = replace(scenario, supply_pressure_mode=mode)
-    if args.duration is not None:
-        scenario = replace(scenario, duration=args.duration)
-    if args.freeze_adaptation:
-        scenario = replace(scenario, freeze_adaptation=True)
-    out = args.out if args.out is not None else cfg.out
-    return replace(cfg, scenario=scenario, out=out)
-
-
-def _run_single(cfg: RunConfig) -> int:
+def _run_write_summarize(cfg: RunConfig, scenario: Scenario, out: str | Path | None) -> None:
     start = time.perf_counter()
-    result = run(cfg.scenario, cfg.plant, cfg.controller, cfg.estimator, cfg.monitor)
+    result = run(scenario, cfg.plant, cfg.controller, cfg.estimator, cfg.monitor)
     elapsed = time.perf_counter() - start
-    if cfg.out:
-        write_csv(result, cfg.out)
+    if out:
+        write_csv(result, out)
         if cfg.emit_plot_data:
-            write_plot_data(result, cfg.out)
-        print(f"wrote {cfg.out}")
+            write_plot_data(result, out)
+        print(f"wrote {out}")
     summarize(result, elapsed)
-    return 0
-
-
-def _run_batch(cfg: RunConfig, batch_dir: str) -> int:
-    directory = Path(batch_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    variants = {
-        "constant_ps": replace(cfg.scenario, supply_pressure_mode="constant"),
-        "varying_ps": replace(cfg.scenario, supply_pressure_mode="varying"),
-        "constant_ps_frozen": replace(
-            cfg.scenario, supply_pressure_mode="constant", freeze_adaptation=True
-        ),
-    }
-    for name, scenario in variants.items():
-        print(f"--- {name} ---")
-        start = time.perf_counter()
-        result = run(scenario, cfg.plant, cfg.controller, cfg.estimator, cfg.monitor)
-        elapsed = time.perf_counter() - start
-        path = directory / f"{name}.csv"
-        write_csv(result, path)
-        if cfg.emit_plot_data:
-            write_plot_data(result, path)
-        print(f"wrote {path}")
-        summarize(result, elapsed)
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -353,14 +291,16 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one scenario (or a batch) and emit CSV plus metrics")
     runp.add_argument("--config", help="flat key=value configuration file")
+    # The next four flags store raw text under their config key (argparse dest),
+    # so their values are parsed and validated exactly like the config file's.
     runp.add_argument("--out", help="CSV output path")
     runp.add_argument(
-        "--scenario", choices=("constant-ps", "varying-ps"),
+        "--scenario", dest="supply_pressure_mode", metavar="{" + ",".join(_SCENARIOS) + "}",
         help="select the supply-pressure mode",
     )
-    runp.add_argument("--duration", type=float, help="override run duration [s]")
+    runp.add_argument("--duration", help="override run duration [s]")
     runp.add_argument(
-        "--freeze-adaptation", action="store_true",
+        "--freeze-adaptation", action="store_const", const="true",
         help="disable the adaptation law and force the compensation estimate to zero",
     )
     runp.add_argument(
@@ -371,8 +311,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config) if args.config else resolve_config({})
-        cfg = _apply_cli_overrides(cfg, args)
+        raw = _read_kv(args.config) if args.config else {}
+        cfg = resolve_config({**raw, **_flag_overrides(args)})
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
@@ -382,9 +322,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        if args.batch:
-            return _run_batch(cfg, args.batch)
-        return _run_single(cfg)
+        if not args.batch:
+            _run_write_summarize(cfg, cfg.scenario, cfg.out)
+            return 0
+        directory = Path(args.batch)
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, changes in _BATCH.items():
+            print(f"--- {name} ---")
+            _run_write_summarize(cfg, replace(cfg.scenario, **changes), directory / f"{name}.csv")
+        return 0
     except BlowUpError as err:
         print(f"numerical blow-up: {err}", file=sys.stderr)
         return 2

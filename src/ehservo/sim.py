@@ -36,6 +36,9 @@ from .plant import (
 
 SUPPLY_MODES = ("constant", "varying")
 
+# control-rate series of a SimResult, in CSV column order
+SERIES = ("t", "x", "xd", "xerr", "v", "PL", "u", "uhat", "d", "dhat", "e", "Ps")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -90,6 +93,16 @@ class MonitorParams:
     transient_fraction: float = 0.25
     e_threshold: float = 0.1        # final-window mean |e| bound
     centers: tuple[float, ...] = DEFAULT_CENTERS
+
+    def __post_init__(self):
+        if not (math.isfinite(self.window) and self.window > 0.0):
+            raise ValueError(f"window must be finite and strictly positive, got {self.window}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and strictly positive, got {self.tol}")
+        if not (math.isfinite(self.e_threshold) and self.e_threshold >= 0.0):
+            raise ValueError(f"e_threshold must be finite and non-negative, got {self.e_threshold}")
+        if not 0.0 <= self.transient_fraction < 1.0:
+            raise ValueError(f"transient_fraction must lie in [0, 1), got {self.transient_fraction}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +234,7 @@ def run(
     a = model_coefficients(cp.model)
     s = scenario.initial_state
     sign_prev = 0.0
-    rows = [[] for _ in range(12)]
+    rows = [[] for _ in SERIES]
 
     for k in range(n_steps):
         t = k * dt_c
@@ -268,9 +281,7 @@ def run(
             ) from None
 
     arrays = [np.asarray(col, dtype=float) for col in rows]
-    metrics_input = dict(
-        zip(("t", "x", "xd", "xerr", "v", "PL", "u", "uhat", "d", "dhat", "e", "Ps"), arrays)
-    )
+    metrics_input = dict(zip(SERIES, arrays))
     report = _monitor_series(
         metrics_input["e"], metrics_input["uhat"], metrics_input["dhat"], dt_c, monitor
     )

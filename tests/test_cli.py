@@ -1,11 +1,14 @@
 """Config loading, CSV emission, summaries, and the command-line front end."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
 from ehservo.cli import (
     CSV_HEADER,
+    KNOWN_KEYS,
     ConfigError,
     config_dump,
     load_config,
@@ -16,7 +19,7 @@ from ehservo.cli import (
     write_csv,
     write_plot_data,
 )
-from ehservo.sim import MonitorReport, SimMetrics, SimResult
+from ehservo.sim import MonitorParams, MonitorReport, SimMetrics, SimResult
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -116,6 +119,77 @@ class TestConfigResolution:
     def test_default_dump_round_trip(self):
         cfg = resolve_config({})
         assert resolve_config(parse_kv(config_dump(cfg))) == cfg
+
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        text = "kappa = 2\nphi = 1\nKAPPA = 3\n"
+        with pytest.raises(ConfigError, match=r"line 3: duplicate key 'kappa', first set on line 1"):
+            load_config(_write(tmp_path, text))
+
+
+_PLANT_SAMPLES = {
+    "ps": "6e6", "rho": "900", "cd": "0.62", "w": "0.02", "ap": "3.2e-4", "ctp": "1e-12",
+    "beta_e": "8e8", "vt": "5e-5", "mt": "240", "bp": "90", "k": "70",
+    "delta_l": "-1.0", "delta_r": "0.8", "kv": "2.2e-6",
+}
+
+# One valid, non-default value per config key. "lambda" is left out: it only
+# seeds c0 and c1 and is never dumped itself.
+NON_DEFAULT = {
+    **_PLANT_SAMPLES,
+    **{"model_" + key: value for key, value in _PLANT_SAMPLES.items()},
+    "c0": "49", "c1": "14", "kappa": "2", "phi": "1.5",
+    "centers": "-1, 0, 1", "d_hat_init": "0.25",
+    "duration": "30", "dt_plant": "0.000625", "dt_control": "0.005",
+    "amplitude": "0.3", "omega": "0.2", "supply_pressure_mode": "varying",
+    "x0": "0.1", "v0": "-0.01", "pl0": "1e5", "freeze_adaptation": "true",
+    "monitor_window": "5", "monitor_tol": "1.1", "monitor_e_threshold": "0.2",
+    "transient_fraction": "0.1", "out": "run.csv", "emit_plot_data": "true",
+}
+
+
+def _changed_fields(cfg, base):
+    """(part, field) pairs in which two resolved configs differ."""
+    parts = {
+        "plant": (cfg.plant, base.plant),
+        "model": (cfg.controller.model, base.controller.model),
+        "controller": (cfg.controller, base.controller),
+        "scenario": (cfg.scenario, base.scenario),
+        "monitor": (cfg.monitor, base.monitor),
+    }
+    return {
+        (part, f.name)
+        for part, (new, old) in parts.items()
+        for f in fields(new)
+        if getattr(new, f.name) != getattr(old, f.name)
+    }
+
+
+class TestSchema:
+    def test_every_key_but_lambda_has_a_sample(self):
+        assert len(KNOWN_KEYS) == 51
+        assert set(NON_DEFAULT) == set(KNOWN_KEYS) - {"lambda"}
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_non_default_value_round_trips(self, key):
+        cfg = resolve_config({key: NON_DEFAULT[key]})
+        assert cfg != resolve_config({})
+        dumped = config_dump(cfg)
+        assert f"{key} = " in dumped
+        assert resolve_config(parse_kv(dumped)) == cfg
+
+    def test_every_field_reachable_from_a_key(self):
+        base = resolve_config({})
+        reached = set()
+        for key, value in NON_DEFAULT.items():
+            reached |= _changed_fields(resolve_config({key: value}), base)
+        expected = (
+            {("plant", f.name) for f in fields(PlantParams)}
+            | {("model", f.name) for f in fields(PlantParams)}
+            | {("controller", f.name) for f in fields(ControllerParams) if f.name != "model"}
+            | {("scenario", f.name) for f in fields(Scenario)}
+            | {("monitor", f.name) for f in fields(MonitorParams) if f.name != "centers"}
+        )
+        assert expected - reached == set()
 
 
 def _empty_result():
@@ -235,6 +309,35 @@ class TestMain:
         assert main(["run", "--duration", "0.5", "--batch", str(batch)]) == 0
         names = sorted(p.name for p in batch.iterdir())
         assert names == ["constant_ps.csv", "constant_ps_frozen.csv", "varying_ps.csv"]
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+    def test_bad_duration_flag_is_config_error(self, value, capsys):
+        assert main(["run", "--duration", value]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert "duration" in err
+
+    def test_bad_scenario_flag_is_config_error(self, capsys):
+        assert main(["run", "--scenario", "constant"]) == 1
+        assert "config error: --scenario" in capsys.readouterr().err
+
+    def test_flags_override_config_keys(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "duration = abc\nsupply_pressure_mode = constant\n")
+        assert main(["run", "--config", str(cfg), "--duration", "5",
+                     "--scenario", "varying-ps", "--freeze-adaptation", "--print-config"]) == 0
+        out = capsys.readouterr().out
+        assert "duration = 5.0" in out
+        assert "supply_pressure_mode = varying" in out
+        assert "freeze_adaptation = true" in out
+
+    def test_bad_monitor_window_rejected_before_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("ehservo.cli.run", no_run)
+        cfg = _write(tmp_path, "monitor_window = nan\n")
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "config error: window" in capsys.readouterr().err
 
     def test_out_key_in_config(self, tmp_path):
         target = tmp_path / "from_config.csv"

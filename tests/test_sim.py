@@ -216,6 +216,30 @@ def _synthetic_result(e, uhat=None, dhat=None, dt=0.0025):
     )
 
 
+class TestMonitorParamsValidation:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"window": math.nan}, "window"),
+        ({"window": -5.0}, "window"),
+        ({"window": 0.0}, "window"),
+        ({"window": math.inf}, "window"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": math.nan}, "tol"),
+        ({"e_threshold": -0.1}, "e_threshold"),
+        ({"e_threshold": math.nan}, "e_threshold"),
+        ({"e_threshold": math.inf}, "e_threshold"),
+        ({"transient_fraction": 1.0}, "transient_fraction"),
+        ({"transient_fraction": -0.1}, "transient_fraction"),
+        ({"transient_fraction": math.nan}, "transient_fraction"),
+    ])
+    def test_rejects(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            MonitorParams(**kwargs)
+
+    def test_accepts_closed_lower_edges(self):
+        params = MonitorParams(e_threshold=0.0, transient_fraction=0.0)
+        assert params.e_threshold == 0.0 and params.transient_fraction == 0.0
+
+
 class TestStabilityMonitor:
     def test_zero_error_series_clean(self):
         res = _synthetic_result(np.zeros(48000))
