@@ -229,11 +229,11 @@ def _flag_overrides(args: argparse.Namespace) -> dict[str, str]:
 def write_csv(result: SimResult, path: str | Path, columns: tuple[str, ...] = CSV_COLUMNS) -> None:
     """Write the named series (all of them by default) with 12 significant digits and LF endings."""
     series = [getattr(result, name) for name in columns]
+    row_format = ",".join(["%.12g"] * len(columns)) + "\n"
     try:
         with open(path, "w", newline="\n") as handle:
             handle.write(",".join(columns) + "\n")
-            for row in zip(*series):
-                handle.write(",".join(f"{value:.12g}" for value in row) + "\n")
+            handle.writelines(row_format % row for row in zip(*series))
     except OSError as err:
         raise OSError(f"cannot write CSV to {path}: {err}") from err
 

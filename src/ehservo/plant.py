@@ -126,20 +126,55 @@ def load_flow(x_sp: float, PL: float, p: PlantParams) -> float:
     return p.Cd * p.w * x_sp * math.sqrt(drop / p.rho)
 
 
+def rhs_constants(p: PlantParams) -> tuple[float, ...]:
+    """Constants of plant_rhs, formed once per parameter set.
+
+    (Cd*w, rho, Ap, Bp, K, Mt, 4*beta_e/Vt, Ctp): each product is the one the
+    equations form first, left to right, so hoisting it changes no bit.
+    """
+    return (p.Cd * p.w, p.rho, p.Ap, p.Bp, p.K, p.Mt, 4.0 * p.beta_e / p.Vt, p.Ctp)
+
+
+def plant_rhs(
+    x: float,
+    v: float,
+    PL: float,
+    x_sp: float,
+    Ps: float,
+    c: tuple[float, ...],
+) -> tuple[float, float, float]:
+    """Time derivatives (dx/dt, dv/dt, dPL/dt) at spool displacement x_sp.
+
+    The one written form of the plant's right-hand side, over plain floats:
+    Ps is the supply pressure in force and c comes from rhs_constants. The
+    flow term is load_flow's orifice law; dv/dt is the force balance, which
+    does not depend on the spool. Raises BlowUpError on a non-finite state.
+    """
+    # one call for a finite state; the sum alone could overflow on finite parts
+    if not math.isfinite(x + v + PL) and not (
+        math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)
+    ):
+        raise BlowUpError(f"non-finite plant state: x={x}, v={v}, PL={PL}")
+    cdw, rho, Ap, Bp, K, Mt, g, Ctp = c
+    if x_sp == 0.0:
+        QL = 0.0
+    else:
+        drop = Ps - PL if x_sp > 0.0 else Ps + PL
+        if drop < EPS_CAV:
+            drop = EPS_CAV
+        QL = cdw * x_sp * math.sqrt(drop / rho)
+    return v, (Ap * PL - Bp * v - K * x) / Mt, g * (QL - Ap * v - Ctp * PL)
+
+
 def plant_derivatives(s: PlantState, u: float, p: PlantParams) -> tuple[float, float, float]:
     """Time derivatives (dx/dt, dv/dt, dPL/dt) under held control voltage u."""
-    if not (math.isfinite(s.x) and math.isfinite(s.v) and math.isfinite(s.PL)):
-        raise BlowUpError(f"non-finite plant state: x={s.x}, v={s.v}, PL={s.PL}")
-    QL = load_flow(dead_zone_output(u, p), s.PL, p)
-    dv = (p.Ap * s.PL - p.Bp * s.v - p.K * s.x) / p.Mt
-    dPL = 4.0 * p.beta_e / p.Vt * (QL - p.Ap * s.v - p.Ctp * s.PL)
-    return s.v, dv, dPL
+    return plant_rhs(s.x, s.v, s.PL, dead_zone_output(u, p), p.Ps, rhs_constants(p))
 
 
 def acceleration(s: PlantState, p: PlantParams) -> float:
     """Piston acceleration [m/s^2] from the force balance.
 
-    This is the signal the controller reads as the measured acceleration; it
-    matches the velocity derivative of plant_derivatives by construction.
+    This is the signal the controller reads as the measured acceleration: the
+    velocity derivative of plant_rhs, which the spool does not enter.
     """
-    return (p.Ap * s.PL - p.Bp * s.v - p.K * s.x) / p.Mt
+    return plant_rhs(s.x, s.v, s.PL, 0.0, p.Ps, rhs_constants(p))[1]

@@ -10,28 +10,21 @@ inputs always produce bit-identical series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import (
-    ControllerParams,
-    ReferencePoint,
-    combined_error,
-    control_law,
-    equivalent_control,
-    input_gain_b,
-    model_coefficients,
-)
-from .fuzzy import DEFAULT_CENTERS, FuzzyEstimator, adapt, infer, membership
+from .controller import ControllerParams, ReferencePoint, model_coefficients
+from .fuzzy import DEFAULT_CENTERS, FuzzyEstimator
 from .plant import (
+    EPS_CAV,
     BlowUpError,
     PlantParams,
     PlantState,
-    acceleration,
-    dead_zone_d,
-    plant_derivatives,
-    sgn,
+    dead_zone_output,
+    plant_rhs,
+    rhs_constants,
 )
 
 SUPPLY_MODES = ("constant", "varying")
@@ -182,28 +175,31 @@ def rk4_step(s: PlantState, u: float, dt: float, p: PlantParams) -> PlantState:
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be strictly positive, got {dt}")
-    k1x, k1v, k1p = plant_derivatives(s, u, p)
+    return PlantState(
+        *_rk4(s.x, s.v, s.PL, dead_zone_output(u, p), p.Ps, dt, rhs_constants(p))
+    )
+
+
+def _rk4(
+    x: float, v: float, PL: float, x_sp: float, Ps: float, dt: float, c: tuple[float, ...]
+) -> tuple[float, float, float]:
+    """rk4_step over plain floats: spool displacement x_sp held, supply pressure Ps."""
+    k1x, k1v, k1p = plant_rhs(x, v, PL, x_sp, Ps, c)
     h = 0.5 * dt
-    k2x, k2v, k2p = plant_derivatives(
-        PlantState(s.x + h * k1x, s.v + h * k1v, s.PL + h * k1p), u, p
-    )
-    k3x, k3v, k3p = plant_derivatives(
-        PlantState(s.x + h * k2x, s.v + h * k2v, s.PL + h * k2p), u, p
-    )
-    k4x, k4v, k4p = plant_derivatives(
-        PlantState(s.x + dt * k3x, s.v + dt * k3v, s.PL + dt * k3p), u, p
-    )
+    k2x, k2v, k2p = plant_rhs(x + h * k1x, v + h * k1v, PL + h * k1p, x_sp, Ps, c)
+    k3x, k3v, k3p = plant_rhs(x + h * k2x, v + h * k2v, PL + h * k2p, x_sp, Ps, c)
+    k4x, k4v, k4p = plant_rhs(x + dt * k3x, v + dt * k3v, PL + dt * k3p, x_sp, Ps, c)
     w = dt / 6.0
-    x = s.x + w * (k1x + 2.0 * (k2x + k3x) + k4x)
-    v = s.v + w * (k1v + 2.0 * (k2v + k3v) + k4v)
-    PL = s.PL + w * (k1p + 2.0 * (k2p + k3p) + k4p)
+    x = x + w * (k1x + 2.0 * (k2x + k3x) + k4x)
+    v = v + w * (k1v + 2.0 * (k2v + k3v) + k4v)
+    PL = PL + w * (k1p + 2.0 * (k2p + k3p) + k4p)
     if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)):
         raise BlowUpError(f"non-finite state after RK4 step: x={x}, v={v}, PL={PL}")
-    if PL > p.Ps:
-        PL = p.Ps
-    elif PL < -p.Ps:
-        PL = -p.Ps
-    return PlantState(x, v, PL)
+    if PL > Ps:
+        PL = Ps
+    elif PL < -Ps:
+        PL = -Ps
+    return x, v, PL
 
 
 def run(
@@ -221,6 +217,11 @@ def run(
     control law, adapt the estimator, then hold the voltage over the RK4
     substeps. Raises BlowUpError (carrying the offending time) if the state
     leaves the finite range.
+
+    The loop runs over plain floats. It inlines reference_at, combined_error,
+    input_gain_b, equivalent_control, membership, infer, control_law, adapt,
+    dead_zone_d and sgn in their exact operation order, so every series equals
+    the one those public functions give, bit for bit; the tests replay them.
     """
     if monitor is None:
         monitor = MonitorParams(centers=est.centers)
@@ -231,56 +232,102 @@ def run(
     varying = scenario.supply_pressure_mode == "varying"
     frozen = scenario.freeze_adaptation
 
-    a = model_coefficients(cp.model)
-    s = scenario.initial_state
+    # reference: each product below is the one reference_at forms first
+    A = scenario.amplitude
+    omega = scenario.omega
+    A_w = A * omega
+    A_w2 = -A * omega * omega
+    A_w3 = -A * omega * omega * omega
+    # controller model, gains and input-gain prefactor (as in input_gain_b)
+    a0, a1, a2 = model_coefficients(cp.model)
+    m = cp.model
+    b_pre = 4.0 * m.beta_e * m.Ap / (m.Vt * m.Mt) * m.Cd * m.w * m.kv
+    Mt_m, Bp_m, K_m, Ap_m, Ps_m, rho_m = m.Mt, m.Bp, m.K, m.Ap, m.Ps, m.rho
+    c0, c1, kappa, phi = cp.c0, cp.c1, cp.kappa, cp.phi
+    # estimator: the consequents are updated in place on the firing rules
+    centers = est.centers
+    n_rules = len(centers)
+    c_first, c_last = centers[0], centers[-1]
+    theta = list(est.d_hat)
+    # true plant
+    c = rhs_constants(plant)
+    Ps0, delta_l, delta_r, kv = plant.Ps, plant.delta_l, plant.delta_r, plant.kv
+
+    cols = [[0.0] * n_steps for _ in SERIES]
+    T, X, XD, XERR, V, P, U, UHAT, D, DHAT, E, PS = cols
+    x, v, PL = scenario.initial_state.x, scenario.initial_state.v, scenario.initial_state.PL
+    ps = supply_pressure(scenario.supply_pressure_mode, x, Ps0)
     sign_prev = 0.0
-    rows = [[] for _ in SERIES]
 
     for k in range(n_steps):
         t = k * dt_c
-        ps_now = supply_pressure(scenario.supply_pressure_mode, s.x, plant.Ps)
-
-        x_ddot = acceleration(s, plant)
-        ref = reference_at(t, scenario.amplitude, scenario.omega)
-        xerr = s.x - ref.xd
-        xerr_dot = s.v - ref.xd_dot
-        xerr_ddot = x_ddot - ref.xd_ddot
-        e = combined_error(xerr, xerr_dot, xerr_ddot, cp)
-        b = input_gain_b(s.x, s.v, x_ddot, sign_prev, cp.model)
-        u_hat = equivalent_control(s.x, s.v, x_ddot, ref, a, b, cp)
+        x_ddot = plant_rhs(x, v, PL, 0.0, ps, c)[1]  # acceleration(): the force balance
+        wt = omega * t
+        sin_wt = math.sin(wt)
+        cos_wt = math.cos(wt)
+        xd = A * sin_wt
+        xd_dot = A_w * cos_wt
+        xd_ddot = A_w2 * sin_wt
+        xd_dddot = A_w3 * cos_wt
+        xerr = x - xd
+        xerr_dot = v - xd_dot
+        xerr_ddot = x_ddot - xd_ddot
+        e = c0 * xerr + c1 * xerr_dot + xerr_ddot
+        drop = Ps_m - sign_prev * ((Mt_m * x_ddot + Bp_m * v + K_m * x) / Ap_m)
+        if drop < EPS_CAV:
+            drop = EPS_CAV
+        b = b_pre * math.sqrt(drop / rho_m)
+        u_hat = (
+            a0 * x + a1 * v + a2 * x_ddot + xd_dddot
+            - c1 * (x_ddot - xd_ddot) - c0 * (v - xd_dot)
+        ) / b
         if not math.isfinite(u_hat):
             raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
-        psi = membership(u_hat, est.centers)
-        d_hat_val = 0.0 if frozen else infer(est, psi)
-        u = control_law(u_hat, d_hat_val, e, cp)
+        # infer's sum starts at 0.0, and only the firing rules add to it
+        if frozen:
+            d_hat = 0.0
+        elif u_hat <= c_first or u_hat >= c_last:
+            # a shoulder rule fires alone
+            i = 0 if u_hat <= c_first else n_rules - 1
+            pair = False
+            d_hat = 0.0 + theta[i]
+        else:
+            # rules i and i + 1 fire
+            i = bisect_right(centers, u_hat) - 1
+            frac = (u_hat - centers[i]) / (centers[i + 1] - centers[i])
+            psi_i = 1.0 - frac
+            pair = True
+            d_hat = 0.0 + theta[i] * psi_i + theta[i + 1] * frac
+        u = u_hat + d_hat - kappa * e
         if not math.isfinite(u):
             raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
+        d = delta_l if u <= delta_l else delta_r if u >= delta_r else u
 
-        for col, val in zip(
-            rows,
-            (t, s.x, ref.xd, xerr, s.v, s.PL, u, u_hat,
-             dead_zone_d(u, plant), d_hat_val, e, ps_now),
-        ):
-            col.append(val)
+        T[k], X[k], XD[k], XERR[k], V[k], P[k] = t, x, xd, xerr, v, PL
+        U[k], UHAT[k], D[k], DHAT[k], E[k], PS[k] = u, u_hat, d, d_hat, e, ps
 
         if not frozen:
-            est = adapt(est, e, psi, cp.phi, dt_c)
-        sign_prev = sgn(u)
+            step = phi * e * dt_c
+            if step != 0.0:
+                if pair:
+                    theta[i] = theta[i] - step * psi_i
+                    theta[i + 1] = theta[i + 1] - step * frac
+                else:
+                    theta[i] = theta[i] - step
+        sign_prev = 1.0 if u > 0.0 else -1.0 if u < 0.0 else 0.0
 
+        x_sp = kv * (u - d)  # the dead-zone decomposition: dead_zone_output(u)
         try:
             for _ in range(n_sub):
-                p_now = plant
-                if varying:
-                    p_now = replace(
-                        plant, Ps=supply_pressure("varying", s.x, plant.Ps)
-                    )
-                s = rk4_step(s, u, dt_p, p_now)
+                x, v, PL = _rk4(x, v, PL, x_sp, ps, dt_p, c)
+                if varying:  # for the next substep, or the next row
+                    ps = supply_pressure("varying", x, Ps0)
         except BlowUpError as err:
             raise BlowUpError(
                 f"{err} (control period starting at t={t:.6g} s)", time=t
             ) from None
 
-    arrays = [np.asarray(col, dtype=float) for col in rows]
+    arrays = [np.asarray(col, dtype=float) for col in cols]
     metrics_input = dict(zip(SERIES, arrays))
     report = _monitor_series(
         metrics_input["e"], metrics_input["uhat"], metrics_input["dhat"], dt_c, monitor

@@ -132,6 +132,19 @@ class TestDerivatives:
         _, _, dpl = plant_derivatives(PlantState(0.0, 0.0, 1e5), 0.0, params)
         assert dpl == pytest.approx(-9333333.333333333, rel=1e-12)
 
+    def test_flow_term_is_load_flow(self, params):
+        # plant_rhs inlines the orifice law; load_flow is its reference
+        rng = np.random.default_rng(5)
+        # near +/-Ps the pressure drop hits the EPS_CAV floor
+        edge = [params.Ps, params.Ps - 10.0, -params.Ps, 0.0]
+        for k in range(2000):
+            PL = edge[k] if k < len(edge) else rng.uniform(-1.0, 1.0) * params.Ps
+            s = PlantState(rng.normal(), rng.normal(), PL)
+            u = rng.choice([-3.0, 3.0]) if k < len(edge) else rng.uniform(-4.0, 4.0)
+            QL = load_flow(dead_zone_output(u, params), s.PL, params)
+            expected = 4.0 * params.beta_e / params.Vt * (QL - params.Ap * s.v - params.Ctp * s.PL)
+            assert plant_derivatives(s, u, params)[2] == expected
+
     def test_blow_up_on_non_finite_state(self, params):
         with pytest.raises(BlowUpError):
             plant_derivatives(PlantState(math.nan, 0.0, 0.0), 0.0, params)

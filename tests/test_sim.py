@@ -1,6 +1,7 @@
-"""Closed-loop executor: reference, supply modes, RK4, run mechanics, monitor."""
+"""Closed-loop executor: reference, supply modes, RK4, run mechanics, kernel replay, monitor."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,16 +16,22 @@ from ehservo import (
     Scenario,
     SimMetrics,
     SimResult,
+    acceleration,
+    combined_error,
+    control_law,
+    dead_zone_d,
+    equivalent_control,
     input_gain_b,
     model_coefficients,
     reference_at,
     rk4_step,
     run,
+    sgn,
     stability_monitor,
     supply_pressure,
 )
-from ehservo.sim import MonitorReport
-from lyapunov import lyapunov_series
+from ehservo.sim import SUPPLY_MODES, MonitorReport
+from lyapunov import lyapunov_series, replay_consequents
 
 
 class TestScenarioValidation:
@@ -154,17 +161,20 @@ class TestRunMechanics:
         assert len(res.t) == 400
         assert np.allclose(np.diff(res.t), 0.0025, rtol=0, atol=1e-15)
 
-    def test_zero_order_hold_replay(self):
+    @pytest.mark.parametrize("mode", SUPPLY_MODES)
+    def test_zero_order_hold_replay(self, mode):
         # the recorded rows plus the held voltage reproduce the next row's
-        # state exactly: the plant sees one constant u per control period
+        # state exactly: the plant sees one constant u per control period,
+        # and each substep the supply pressure at the state it starts from
         plant = PlantParams()
         cp = ControllerParams(model=plant)
-        sc = Scenario(duration=5.0)
+        sc = Scenario(duration=5.0, supply_pressure_mode=mode)
         res = run(sc, plant, cp, FuzzyEstimator.zeros())
         for k in (0, 1, 7, 100, 1200, len(res.t) - 2):
             s = PlantState(res.x[k], res.v[k], res.PL[k])
             for _ in range(sc.substeps):
-                s = rk4_step(s, res.u[k], sc.dt_plant, plant)
+                p_now = replace(plant, Ps=supply_pressure(mode, s.x, plant.Ps))
+                s = rk4_step(s, res.u[k], sc.dt_plant, p_now)
             assert s.x == res.x[k + 1]
             assert s.v == res.v[k + 1]
             assert s.PL == res.PL[k + 1]
@@ -200,9 +210,92 @@ class TestRunMechanics:
             run(sc, plant, cp, FuzzyEstimator.zeros())
         assert err.value.time is not None
 
+    def test_blow_up_inside_substeps_carries_period_start(self):
+        # a huge initial velocity passes the controller's checks and
+        # overflows inside the RK4 stages of the third control period
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
+        sc = Scenario(duration=2.0, initial_state=PlantState(0.0, 1e150, 0.0))
+        with pytest.raises(BlowUpError) as err:
+            run(sc, plant, cp, FuzzyEstimator.zeros())
+        assert type(err.value) is BlowUpError
+        assert err.value.time == 0.005
+        message = str(err.value)
+        assert message.startswith("non-finite plant state: ")
+        assert message.endswith(" (control period starting at t=0.005 s)")
+
     def test_pressure_stays_within_supply(self, default_run):
         result, _ = default_run
         assert np.all(np.abs(result.PL) <= result.Ps)
+
+
+def _replay_controller(res, sc, plant, cp):
+    """The controller's columns recomputed from each recorded (t, x, v, PL) by
+    the public functions, with the previous sample's voltage sign and the
+    recorded d_hat (replay_consequents pins d_hat itself)."""
+    a = model_coefficients(cp.model)
+    names = ("t", "xd", "xerr", "e", "uhat", "u", "d", "Ps")
+    out = {name: [] for name in names}
+    sign_prev = 0.0
+    rows = zip(res.x.tolist(), res.v.tolist(), res.PL.tolist(), res.dhat.tolist())
+    for k, (x, v, PL, d_hat) in enumerate(rows):
+        t = k * sc.dt_control
+        x_ddot = acceleration(PlantState(x, v, PL), plant)
+        ref = reference_at(t, sc.amplitude, sc.omega)
+        xerr = x - ref.xd
+        e = combined_error(xerr, v - ref.xd_dot, x_ddot - ref.xd_ddot, cp)
+        b = input_gain_b(x, v, x_ddot, sign_prev, cp.model)
+        u_hat = equivalent_control(x, v, x_ddot, ref, a, b, cp)
+        u = control_law(u_hat, d_hat, e, cp)
+        values = (t, ref.xd, xerr, e, u_hat, u, dead_zone_d(u, plant),
+                  supply_pressure(sc.supply_pressure_mode, x, plant.Ps))
+        for name, value in zip(names, values):
+            out[name].append(value)
+        sign_prev = sgn(u)
+    return {name: np.array(col) for name, col in out.items()}
+
+
+def _assert_controller_replays(res, sc, plant, cp):
+    replayed = _replay_controller(res, sc, plant, cp)
+    for name, column in replayed.items():
+        differ = np.flatnonzero(column != getattr(res, name))
+        assert differ.size == 0, f"{name} differs at {differ.size} samples, first {differ[0]}"
+
+
+class TestKernelReplay:
+    """run inlines the controller and the estimator over plain floats; the
+    public functions are the reference it must equal bit for bit."""
+
+    @pytest.mark.parametrize("mode, frozen", [
+        ("constant", False), ("varying", False), ("constant", True),
+    ])
+    def test_controller_columns(self, mode, frozen):
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
+        sc = Scenario(duration=5.0, supply_pressure_mode=mode, freeze_adaptation=frozen)
+        est = FuzzyEstimator.zeros()
+        res = run(sc, plant, cp, est)
+        _assert_controller_replays(res, sc, plant, cp)
+        if not frozen:
+            replay_consequents(res, est, cp.phi)
+
+    def test_consequents_on_varying_supply(self, varying_run, nominal_controller,
+                                           zero_estimator):
+        replay_consequents(varying_run, zero_estimator, nominal_controller.phi)
+
+    def test_non_default_grid_and_start(self):
+        # a faster reference drives u_hat past both shoulders and through the
+        # interior; the consequents start away from zero
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
+        centers = (-0.3, -0.05, 0.0, 0.05, 0.3)
+        est = FuzzyEstimator(centers, (-0.6, -0.2, 0.0, 0.2, 0.5))
+        sc = Scenario(duration=15.0, omega=0.5)
+        res = run(sc, plant, cp, est)
+        assert np.any(res.uhat <= centers[0]) and np.any(res.uhat >= centers[-1])
+        assert np.any((res.uhat > centers[0]) & (res.uhat < centers[-1]))
+        replay_consequents(res, est, cp.phi)
+        _assert_controller_replays(res, sc, plant, cp)
 
 
 def _synthetic_result(e, uhat=None, dhat=None, dt=0.0025):
