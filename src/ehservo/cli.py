@@ -175,7 +175,7 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         estimator = FuzzyEstimator(**est)
         initial_state = PlantState(**given["initial_state"])
         scenario = Scenario(**given["scenario"], initial_state=initial_state)
-        monitor = MonitorParams(**given["monitor"], centers=estimator.centers)
+        monitor = MonitorParams(**given["monitor"])
     except ValueError as err:
         raise ConfigError(str(err)) from None
     return RunConfig(plant, controller, estimator, scenario, monitor, **given["run"])
@@ -334,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUpError as err:
         print(f"numerical blow-up: {err}", file=sys.stderr)
         return 2
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

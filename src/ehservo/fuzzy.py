@@ -95,5 +95,5 @@ def adapt(
     step = phi * e * dt
     if step == 0.0:
         return est
-    d_new = tuple(d - step * w for d, w in zip(est.d_hat, psi))
+    d_new = tuple(d if w == 0.0 else d - step * w for d, w in zip(est.d_hat, psi))
     return FuzzyEstimator(est.centers, d_new)

@@ -87,13 +87,11 @@ def dead_zone_output(u: float, p: PlantParams) -> float:
 
     Inside the overlap band (delta_l, delta_r) the ports stay blocked and the
     output is zero; outside, displacement grows proportionally to the distance
-    from the nearest band edge. Continuous and non-decreasing in u.
+    from the nearest band edge. Continuous and non-decreasing in u. A NaN
+    voltage gives a NaN displacement, which the integrator reports as a
+    blow-up.
     """
-    if u <= p.delta_l:
-        return p.kv * (u - p.delta_l)
-    if u >= p.delta_r:
-        return p.kv * (u - p.delta_r)
-    return 0.0
+    return p.kv * (u - dead_zone_d(u, p))
 
 
 def dead_zone_d(u: float, p: PlantParams) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .controller import ControllerParams, ReferencePoint, model_coefficients
-from .fuzzy import DEFAULT_CENTERS, FuzzyEstimator
+from .fuzzy import FuzzyEstimator
 from .plant import (
     EPS_CAV,
     BlowUpError,
@@ -85,7 +85,6 @@ class MonitorParams:
     tol: float = 1.05               # allowed window-to-window RMS growth factor
     transient_fraction: float = 0.25
     e_threshold: float = 0.1        # final-window mean |e| bound
-    centers: tuple[float, ...] = DEFAULT_CENTERS
 
     def __post_init__(self):
         if not (math.isfinite(self.window) and self.window > 0.0):
@@ -120,13 +119,11 @@ class SimMetrics:
     max_abs_xerr_post_transient: float
     mean_dz_err_first_quarter: float
     mean_dz_err_final_quarter: float
-    e2_decrease_fraction: float
-    rms_violations: int
 
 
 @dataclass
 class SimResult:
-    """Control-rate time series of one run plus its summary metrics."""
+    """Control-rate time series of one run, the estimator grid it ran on, and its scores."""
 
     t: np.ndarray
     x: np.ndarray
@@ -141,6 +138,7 @@ class SimResult:
     e: np.ndarray
     Ps: np.ndarray
     dt_control: float
+    centers: tuple[float, ...]      # membership grid of the run's estimator [V]
     metrics: SimMetrics
     monitor: MonitorReport
 
@@ -159,7 +157,11 @@ def reference_at(t: float, amplitude: float, omega: float) -> ReferencePoint:
 
 
 def supply_pressure(mode: str, x: float, ps_nominal: float) -> float:
-    """Supply pressure [Pa]: fixed, or swinging +/-20% with piston position."""
+    """Supply pressure [Pa]: fixed, or ps_nominal*(1 + 0.2*sin(x)) with x in metres.
+
+    Over the |x| <= 0.5 m of the default reference the varying law swings by
+    about +/-9.6% (0.2*sin(0.5) = 0.0959).
+    """
     if mode == "constant":
         return ps_nominal
     if mode == "varying":
@@ -207,7 +209,7 @@ def run(
     plant: PlantParams,
     cp: ControllerParams,
     est: FuzzyEstimator,
-    monitor: MonitorParams | None = None,
+    monitor: MonitorParams = MonitorParams(),
 ) -> SimResult:
     """Execute one closed-loop scenario and score the resulting series.
 
@@ -223,8 +225,6 @@ def run(
     dead_zone_d and sgn in their exact operation order, so every series equals
     the one those public functions give, bit for bit; the tests replay them.
     """
-    if monitor is None:
-        monitor = MonitorParams(centers=est.centers)
     n_steps = int(round(scenario.duration / scenario.dt_control))
     n_sub = scenario.substeps
     dt_c = scenario.dt_control
@@ -327,19 +327,15 @@ def run(
                 f"{err} (control period starting at t={t:.6g} s)", time=t
             ) from None
 
-    arrays = [np.asarray(col, dtype=float) for col in cols]
-    metrics_input = dict(zip(SERIES, arrays))
-    report = _monitor_series(
-        metrics_input["e"], metrics_input["uhat"], metrics_input["dhat"], dt_c, monitor
-    )
+    series = dict(zip(SERIES, (np.asarray(col, dtype=float) for col in cols)))
+    report = _monitor_series(series["e"], series["uhat"], series["dhat"], dt_c, centers, monitor)
     metrics = _compute_metrics(
-        metrics_input["xerr"], metrics_input["d"], metrics_input["dhat"],
-        metrics_input["e"], monitor.transient_fraction, report.rms_violations,
+        series["xerr"], series["d"], series["dhat"], monitor.transient_fraction
     )
-    return SimResult(**metrics_input, dt_control=dt_c, metrics=metrics, monitor=report)
+    return SimResult(**series, dt_control=dt_c, centers=centers, metrics=metrics, monitor=report)
 
 
-def stability_monitor(result: SimResult, params: MonitorParams | None = None) -> MonitorReport:
+def stability_monitor(result: SimResult, params: MonitorParams = MonitorParams()) -> MonitorReport:
     """Score a completed run against the expected closed-loop behavior.
 
     Checks, after the transient: (i) the windowed RMS of the combined error
@@ -347,11 +343,12 @@ def stability_monitor(result: SimResult, params: MonitorParams | None = None) ->
     (ii) the final-window mean |e| sits below the configured threshold, and
     (iii) in the final window the compensation estimate has the sign of the
     active dead-zone edge whenever the equivalent control is clearly outside
-    the innermost membership centers. Emits counts, never raises.
+    the innermost centers of the run's own membership grid. Emits counts,
+    never raises. With the same params it gives the report run made.
     """
-    if params is None:
-        params = MonitorParams()
-    return _monitor_series(result.e, result.uhat, result.dhat, result.dt_control, params)
+    return _monitor_series(
+        result.e, result.uhat, result.dhat, result.dt_control, result.centers, params
+    )
 
 
 def _monitor_series(
@@ -359,6 +356,7 @@ def _monitor_series(
     uhat: np.ndarray,
     dhat: np.ndarray,
     dt_control: float,
+    centers: tuple[float, ...],
     params: MonitorParams,
 ) -> MonitorReport:
     n = len(e)
@@ -382,8 +380,8 @@ def _monitor_series(
         final = slice(i0, n) if i0 < n else slice(0, n)
     final_mean = float(np.mean(np.abs(e[final]))) if e[final].size else 0.0
 
-    pos_inner = min((c for c in params.centers if c > 0.0), default=None)
-    neg_inner = max((c for c in params.centers if c < 0.0), default=None)
+    pos_inner = min((c for c in centers if c > 0.0), default=None)
+    neg_inner = max((c for c in centers if c < 0.0), default=None)
     sign_violations = 0
     uh = uhat[final]
     dh = dhat[final]
@@ -407,9 +405,7 @@ def _compute_metrics(
     xerr: np.ndarray,
     d: np.ndarray,
     dhat: np.ndarray,
-    e: np.ndarray,
     transient_fraction: float,
-    rms_violations: int,
 ) -> SimMetrics:
     n = len(xerr)
     q = n // 4
@@ -420,18 +416,10 @@ def _compute_metrics(
 
     dz_err = np.abs(dhat - d)
     post = xerr[i0:]
-    e2 = e * e
-    post_e2 = e2[i0:]
-    if post_e2.size > 1:
-        decrease = float(np.mean(post_e2[1:] <= post_e2[:-1]))
-    else:
-        decrease = 1.0
     return SimMetrics(
         rms_xerr_first_quarter=_rms(xerr[:q]),
         rms_xerr_final_quarter=_rms(xerr[n - q:]),
         max_abs_xerr_post_transient=float(np.max(np.abs(post))) if post.size else 0.0,
         mean_dz_err_first_quarter=float(np.mean(dz_err[:q])) if q else 0.0,
         mean_dz_err_final_quarter=float(np.mean(dz_err[n - q:])) if q else 0.0,
-        e2_decrease_fraction=decrease,
-        rms_violations=rms_violations,
     )

@@ -34,7 +34,8 @@ def default_run(nominal_plant, nominal_controller, zero_estimator):
 
 @pytest.fixture(scope="session")
 def varying_run(nominal_plant, nominal_controller, zero_estimator):
-    """Same scenario with the supply pressure swinging +/-20% with position."""
+    """Same scenario with the supply pressure Ps*(1 + 0.2*sin x): about +/-9.6%
+    over the |x| <= 0.5 m the reference spans."""
     scenario = Scenario(supply_pressure_mode="varying")
     return run(scenario, nominal_plant, nominal_controller, zero_estimator)
 

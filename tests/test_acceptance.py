@@ -165,8 +165,9 @@ def test_fig3_tracking_and_estimator_convergence(default_run):
 
 
 def test_fig4_varying_supply_robustness(default_run, varying_run):
-    """+/-20% supply-pressure swing: completes without blow-up and stays within
-    1.5x the constant-supply tracking error."""
+    """Supply pressure swinging with position (about +/-9.6% over the run):
+    completes without blow-up and stays within 1.5x the constant-supply
+    tracking error."""
     constant, _ = default_run
     ratio = (varying_run.metrics.rms_xerr_final_quarter
              / constant.metrics.rms_xerr_final_quarter)

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
+from ehservo import DEFAULT_CENTERS, ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
 from ehservo.cli import (
     CSV_HEADER,
     KNOWN_KEYS,
@@ -187,7 +187,7 @@ class TestSchema:
             | {("model", f.name) for f in fields(PlantParams)}
             | {("controller", f.name) for f in fields(ControllerParams) if f.name != "model"}
             | {("scenario", f.name) for f in fields(Scenario)}
-            | {("monitor", f.name) for f in fields(MonitorParams) if f.name != "centers"}
+            | {("monitor", f.name) for f in fields(MonitorParams)}
         )
         assert expected - reached == set()
 
@@ -196,8 +196,8 @@ def _empty_result():
     z = np.zeros(0)
     return SimResult(
         t=z, x=z, xd=z, xerr=z, v=z, PL=z, u=z, uhat=z, d=z, dhat=z, e=z, Ps=z,
-        dt_control=0.0025,
-        metrics=SimMetrics(0, 0, 0, 0, 0, 1.0, 0),
+        dt_control=0.0025, centers=DEFAULT_CENTERS,
+        metrics=SimMetrics(0, 0, 0, 0, 0),
         monitor=MonitorReport(0, (), 0, 0.0, 0.1, True, 0),
     )
 
@@ -338,6 +338,20 @@ class TestMain:
         cfg = _write(tmp_path, "monitor_window = nan\n")
         assert main(["run", "--config", str(cfg)]) == 1
         assert "config error: window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["out", "batch"])
+    def test_unwritable_output_is_one_line_error(self, form, tmp_path, capsys):
+        # --out into a missing directory; --batch onto an existing file
+        if form == "out":
+            args = ["--out", str(tmp_path / "missing" / "run.csv")]
+        else:
+            taken = _write(tmp_path, "", name="taken")
+            args = ["--batch", str(taken)]
+        assert main(["run", "--duration", "0.1", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_out_key_in_config(self, tmp_path):
         target = tmp_path / "from_config.csv"

@@ -1,0 +1,95 @@
+"""Property tests over random inputs: the fuzzy basis, the consequent update,
+the dead-zone decomposition and the config round trip.
+
+Every test is derandomized with a bounded number of examples, so the suite
+stays deterministic and quick.
+"""
+
+import math
+import struct
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ehservo import FuzzyEstimator, PlantParams, adapt, dead_zone_d, dead_zone_output, membership
+from ehservo.cli import config_dump, parse_kv, resolve_config
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+# membership grids of a voltage estimator: 2 to 9 strictly increasing centers
+grids = st.lists(
+    st.floats(-100.0, 100.0, allow_nan=False), min_size=2, max_size=9, unique=True
+).map(lambda values: tuple(sorted(values)))
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+positive = st.floats(1e-6, 1e3, allow_nan=False)
+
+
+@PROPERTY
+@given(grids, finite)
+def test_membership_is_a_partition_of_unity(centers, u_hat):
+    psi = membership(u_hat, centers)
+    assert sum(psi) == 1.0
+    assert all(w >= 0.0 for w in psi)
+    fired = [i for i, w in enumerate(psi) if w != 0.0]
+    assert len(fired) in (1, 2)
+    assert fired[-1] - fired[0] <= 1
+
+
+@PROPERTY
+@given(grids.flatmap(lambda c: st.tuples(
+    st.just(c), st.lists(st.floats(-10.0, 10.0), min_size=len(c), max_size=len(c)))),
+    finite, finite, positive, positive)
+# a -0.0 consequent beside a rule that fires, with a negative step
+@example(((-1.0, 0.0, 1.0), [-0.0, 0.0, 0.0]), 0.5, -1.0, 0.5, 0.0025)
+def test_adapt_keeps_rules_that_did_not_fire(grid, u_hat, e, phi, dt):
+    centers, d_hat = grid
+    est = FuzzyEstimator(centers, d_hat)
+    psi = membership(u_hat, centers)
+    out = adapt(est, e, psi, phi, dt)
+    for w, before, after in zip(psi, est.d_hat, out.d_hat):
+        if w == 0.0:
+            assert _bits(after) == _bits(before)
+
+
+@PROPERTY
+@given(
+    st.floats(-5.0, -1e-6), st.floats(1e-6, 5.0), st.floats(1e-9, 1e-3),
+    st.floats(allow_nan=False),
+)
+@example(-1.1, 0.9, 2e-6, -0.0)
+@example(-1.1, 0.9, 2e-6, -1.1)
+@example(-1.1, 0.9, 2e-6, 0.9)
+@example(-1.1, 0.9, 2e-6, math.inf)
+def test_dead_zone_identity(delta_l, delta_r, kv, u):
+    p = PlantParams(delta_l=delta_l, delta_r=delta_r, kv=kv)
+    x_sp = dead_zone_output(u, p)
+    assert _bits(x_sp) == _bits(p.kv * (u - dead_zone_d(u, p)))
+    # the piecewise form: closed inside the band, linear from the nearest edge
+    if u <= delta_l:
+        piecewise = kv * (u - delta_l)
+    elif u >= delta_r:
+        piecewise = kv * (u - delta_r)
+    else:
+        piecewise = 0.0
+    assert _bits(x_sp) == _bits(piecewise)
+
+
+@PROPERTY
+@given(
+    st.fixed_dictionaries({
+        "kappa": positive, "phi": positive, "lambda": positive,
+        "centers": grids,
+    }, optional={"c0": positive, "c1": positive, "d_hat_init": st.floats(-10.0, 10.0)}),
+)
+def test_config_dump_round_trips(values):
+    raw = {
+        key: ", ".join(map(repr, value)) if key == "centers" else repr(value)
+        for key, value in values.items()
+    }
+    cfg = resolve_config(raw)
+    assert resolve_config(parse_kv(config_dump(cfg))) == cfg

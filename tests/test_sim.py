@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ehservo import (
+    DEFAULT_CENTERS,
     BlowUpError,
     ControllerParams,
     FuzzyEstimator,
@@ -94,6 +95,11 @@ class TestSupplyPressure:
         with pytest.raises(ValueError):
             supply_pressure("off", 0.0, 7e6)
 
+    def test_varying_run_swings_under_ten_percent(self, varying_run, nominal_plant):
+        # Ps*(1 + 0.2*sin x) over |x| <= 0.5 m swings by about +/-9.6%
+        swing = float(np.max(np.abs(varying_run.Ps / nominal_plant.Ps - 1.0)))
+        assert 0.09 < swing < 0.1
+
 
 class TestRK4Step:
     def test_equilibrium_fixed_point(self):
@@ -121,6 +127,11 @@ class TestRK4Step:
         p = PlantParams()
         with pytest.raises(BlowUpError):
             rk4_step(PlantState(math.nan, 0.0, 0.0), 0.0, 1 / 800, p)
+
+    def test_nan_voltage_blows_up(self):
+        # a NaN voltage is no closed valve: it reaches the state and is reported
+        with pytest.raises(BlowUpError):
+            rk4_step(PlantState(), math.nan, 1 / 800, PlantParams())
 
     def test_mass_spring_reduction(self):
         # with a vanishing bulk modulus the pressure stays at zero and the
@@ -303,12 +314,12 @@ def _synthetic_result(e, uhat=None, dhat=None, dt=0.0025):
     z = np.zeros(n)
     uhat = z if uhat is None else uhat
     dhat = z if dhat is None else dhat
-    metrics = SimMetrics(0, 0, 0, 0, 0, 1.0, 0)
+    metrics = SimMetrics(0, 0, 0, 0, 0)
     report = MonitorReport(0, (), 0, 0.0, 0.1, True, 0)
     return SimResult(
         t=np.arange(n) * dt, x=z, xd=z, xerr=z, v=z, PL=z, u=z, uhat=uhat,
         d=z, dhat=dhat, e=np.asarray(e, dtype=float), Ps=np.full(n, 7e6),
-        dt_control=dt, metrics=metrics, monitor=report,
+        dt_control=dt, centers=DEFAULT_CENTERS, metrics=metrics, monitor=report,
     )
 
 
@@ -367,6 +378,27 @@ class TestStabilityMonitor:
         assert not rep.final_mean_ok
         rep = stability_monitor(res, MonitorParams(e_threshold=0.3))
         assert rep.final_mean_ok
+
+    def test_sign_check_uses_the_run_grid(self):
+        # innermost centers at +/-0.2 instead of the default +/-0.05
+        res = _synthetic_result(np.zeros(48000), uhat=np.full(48000, 0.1),
+                                dhat=np.full(48000, -0.05))
+        assert stability_monitor(res).sign_violations == 4000
+        res.centers = (-0.5, -0.2, 0.0, 0.2, 0.5)
+        assert stability_monitor(res).sign_violations == 0
+
+    def test_run_report_equals_rescoring(self):
+        # every way of scoring one run with the same params gives one report,
+        # also on a grid other than the default
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
+        est = FuzzyEstimator.zeros((-0.5, -0.2, 0.0, 0.2, 0.5))
+        sc = Scenario(duration=15.0, omega=0.5)
+        res = run(sc, plant, cp, est)
+        assert res.centers == est.centers
+        again = run(sc, plant, cp, est, MonitorParams())
+        assert res.monitor == again.monitor == stability_monitor(res)
+        assert res.monitor == stability_monitor(again, MonitorParams())
 
 
 class TestClosedLoopProperties:
