@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections import defaultdict
@@ -11,12 +12,13 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from .controller import ControllerParams
-from .fuzzy import DEFAULT_CENTERS, FuzzyEstimator
+from .fuzzy import FuzzyEstimator
 from .plant import BlowUpError, PlantParams, PlantState
 from .sim import SERIES as CSV_COLUMNS
 from .sim import MonitorParams, Scenario, SimResult, run
 
 CSV_HEADER = ",".join(CSV_COLUMNS)
+_CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"
 
 
 class ConfigError(ValueError):
@@ -78,7 +80,6 @@ _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
     "monitor_tol": ("monitor", "tol", _NUMBER),
     "monitor_e_threshold": ("monitor", "e_threshold", _NUMBER),
     "transient_fraction": ("monitor", "transient_fraction", _NUMBER),
-    "emit_plot_data": ("run", "emit_plot_data", _BOOL),
     "out": ("run", "out", _TEXT),
 }
 
@@ -105,7 +106,6 @@ class RunConfig:
     scenario: Scenario
     monitor: MonitorParams
     out: str | None = None
-    emit_plot_data: bool = False
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -164,15 +164,9 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         gains.setdefault("c0", lam * lam)
         gains.setdefault("c1", 2.0 * lam)
 
-    # unset consequents start at zero; a single value seeds every rule
-    est = given["estimator"]
-    centers = est.setdefault("centers", DEFAULT_CENTERS)
-    if len(est.setdefault("d_hat", (0.0,))) == 1:
-        est["d_hat"] *= len(centers)
-
     try:
         controller = ControllerParams(**gains, model=model)
-        estimator = FuzzyEstimator(**est)
+        estimator = FuzzyEstimator(**given["estimator"])
         initial_state = PlantState(**given["initial_state"])
         scenario = Scenario(**given["scenario"], initial_state=initial_state)
         monitor = MonitorParams(**given["monitor"])
@@ -226,33 +220,15 @@ def _flag_overrides(args: argparse.Namespace) -> dict[str, str]:
     return raw
 
 
-def write_csv(result: SimResult, path: str | Path, columns: tuple[str, ...] = CSV_COLUMNS) -> None:
-    """Write the named series (all of them by default) with 12 significant digits and LF endings."""
-    series = [getattr(result, name) for name in columns]
-    row_format = ",".join(["%.12g"] * len(columns)) + "\n"
+def write_csv(result: SimResult, path: str | Path) -> None:
+    """Write every series under CSV_HEADER with 12 significant digits and LF endings."""
+    series = [getattr(result, name) for name in CSV_COLUMNS]
     try:
         with open(path, "w", newline="\n") as handle:
-            handle.write(",".join(columns) + "\n")
-            handle.writelines(row_format % row for row in zip(*series))
+            handle.write(CSV_HEADER + "\n")
+            handle.writelines(_CSV_ROW % row for row in zip(*series))
     except OSError as err:
         raise OSError(f"cannot write CSV to {path}: {err}") from err
-
-
-def write_plot_data(result: SimResult, out_path: str | Path) -> list[Path]:
-    """Write the four per-panel CSVs (tracking, control, error, estimate) next to out_path."""
-    base = Path(out_path)
-    panels = {
-        "tracking": ("t", "x", "xd"),
-        "control": ("t", "u"),
-        "error": ("t", "xerr"),
-        "dz_estimate": ("t", "d", "dhat"),
-    }
-    written = []
-    for suffix, columns in panels.items():
-        path = base.with_name(f"{base.stem}_{suffix}.csv")
-        write_csv(result, path, columns)
-        written.append(path)
-    return written
 
 
 def summarize(result: SimResult, elapsed: float | None = None) -> None:
@@ -272,13 +248,16 @@ def summarize(result: SimResult, elapsed: float | None = None) -> None:
 
 
 def _run_write_summarize(cfg: RunConfig, scenario: Scenario, out: str | Path | None) -> None:
+    if out:
+        # fail before the run, without creating or truncating the CSV itself
+        parent = Path(out).parent
+        if Path(out).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK)):
+            raise OSError(f"cannot write CSV to {out}: not a file in a writable directory")
     start = time.perf_counter()
     result = run(scenario, cfg.plant, cfg.controller, cfg.estimator, cfg.monitor)
     elapsed = time.perf_counter() - start
     if out:
         write_csv(result, out)
-        if cfg.emit_plot_data:
-            write_plot_data(result, out)
         print(f"wrote {out}")
     summarize(result, elapsed)
 

@@ -18,14 +18,19 @@ DEFAULT_CENTERS = (-0.50, -0.10, -0.05, 0.00, 0.05, 0.10, 0.50)
 
 @dataclass(frozen=True)
 class FuzzyEstimator:
-    """Membership center grid [V] plus the adaptable consequent vector [V]."""
+    """Membership center grid [V] plus the adaptable consequent vector [V].
+
+    A single consequent seeds every rule, so the default starts at zero.
+    """
 
     centers: tuple[float, ...] = DEFAULT_CENTERS
-    d_hat: tuple[float, ...] = (0.0,) * len(DEFAULT_CENTERS)
+    d_hat: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
         centers = tuple(float(c) for c in self.centers)
         d_hat = tuple(float(d) for d in self.d_hat)
+        if len(d_hat) == 1:
+            d_hat *= len(centers)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "d_hat", d_hat)
         if len(centers) < 2:
@@ -44,8 +49,7 @@ class FuzzyEstimator:
     @classmethod
     def zeros(cls, centers: Sequence[float] = DEFAULT_CENTERS) -> "FuzzyEstimator":
         """Estimator over the given grid starting with no compensation."""
-        centers = tuple(float(c) for c in centers)
-        return cls(centers, (0.0,) * len(centers))
+        return cls(tuple(centers))
 
 
 def membership(u_hat: float, centers: Sequence[float]) -> tuple[float, ...]:

@@ -56,11 +56,16 @@ class Scenario:
             raise ValueError(f"dt_plant must be strictly positive, got {self.dt_plant}")
         if not self.dt_control > 0.0:
             raise ValueError(f"dt_control must be strictly positive, got {self.dt_control}")
-        n = round(self.dt_control / self.dt_plant)
+        n = self.substeps
         if n < 1 or abs(self.dt_control - n * self.dt_plant) > 1e-9 * self.dt_control:
             raise ValueError(
                 f"dt_control ({self.dt_control}) must be an integer multiple of "
                 f"dt_plant ({self.dt_plant})"
+            )
+        if self.n_steps < 1:
+            raise ValueError(
+                f"duration ({self.duration}) must span at least one control period "
+                f"(dt_control = {self.dt_control})"
             )
         if self.supply_pressure_mode not in SUPPLY_MODES:
             raise ValueError(
@@ -75,6 +80,11 @@ class Scenario:
     def substeps(self) -> int:
         """Plant integration steps per control period."""
         return round(self.dt_control / self.dt_plant)
+
+    @property
+    def n_steps(self) -> int:
+        """Control periods in the run, one output row each."""
+        return round(self.duration / self.dt_control)
 
 
 @dataclass(frozen=True)
@@ -225,7 +235,7 @@ def run(
     dead_zone_d and sgn in their exact operation order, so every series equals
     the one those public functions give, bit for bit; the tests replay them.
     """
-    n_steps = int(round(scenario.duration / scenario.dt_control))
+    n_steps = scenario.n_steps
     n_sub = scenario.substeps
     dt_c = scenario.dt_control
     dt_p = scenario.dt_plant

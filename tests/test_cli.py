@@ -17,7 +17,6 @@ from ehservo.cli import (
     resolve_config,
     summarize,
     write_csv,
-    write_plot_data,
 )
 from ehservo.sim import MonitorParams, MonitorReport, SimMetrics, SimResult
 
@@ -143,7 +142,7 @@ NON_DEFAULT = {
     "amplitude": "0.3", "omega": "0.2", "supply_pressure_mode": "varying",
     "x0": "0.1", "v0": "-0.01", "pl0": "1e5", "freeze_adaptation": "true",
     "monitor_window": "5", "monitor_tol": "1.1", "monitor_e_threshold": "0.2",
-    "transient_fraction": "0.1", "out": "run.csv", "emit_plot_data": "true",
+    "transient_fraction": "0.1", "out": "run.csv",
 }
 
 
@@ -166,7 +165,7 @@ def _changed_fields(cfg, base):
 
 class TestSchema:
     def test_every_key_but_lambda_has_a_sample(self):
-        assert len(KNOWN_KEYS) == 51
+        assert len(KNOWN_KEYS) == 50
         assert set(NON_DEFAULT) == set(KNOWN_KEYS) - {"lambda"}
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
@@ -230,16 +229,6 @@ class TestCsv:
         assert b"\r" not in data
         assert data.endswith(b"\n")
 
-    def test_plot_data_panels(self, tmp_path):
-        res = _short_run(duration=0.1)
-        out = tmp_path / "run.csv"
-        files = write_plot_data(res, out)
-        names = sorted(f.name for f in files)
-        assert names == ["run_control.csv", "run_dz_estimate.csv", "run_error.csv",
-                         "run_tracking.csv"]
-        first = (tmp_path / "run_tracking.csv").read_text().splitlines()
-        assert first[0] == "t,x,xd"
-
 
 class TestSummarize:
     def test_equilibrium_metrics_zero(self, capsys):
@@ -274,9 +263,11 @@ class TestMain:
 
     def test_blow_up_exit_code(self, tmp_path, capsys):
         cfg = _write(tmp_path, "x0 = 1e306\n")
-        code = main(["run", "--config", str(cfg), "--duration", "1"])
+        out = tmp_path / "run.csv"
+        code = main(["run", "--config", str(cfg), "--duration", "1", "--out", str(out)])
         assert code == 2
         assert "numerical blow-up" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_print_config_echoes_defaults(self, capsys):
         code = main(["run", "--print-config"])
@@ -310,7 +301,8 @@ class TestMain:
         names = sorted(p.name for p in batch.iterdir())
         assert names == ["constant_ps.csv", "constant_ps_frozen.csv", "varying_ps.csv"]
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+    # 0.001 s is shorter than one control period, so the run would have no rows
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0.001"])
     def test_bad_duration_flag_is_config_error(self, value, capsys):
         assert main(["run", "--duration", value]) == 1
         err = capsys.readouterr().err
@@ -339,11 +331,17 @@ class TestMain:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "config error: window" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("form", ["out", "batch"])
-    def test_unwritable_output_is_one_line_error(self, form, tmp_path, capsys):
-        # --out into a missing directory; --batch onto an existing file
+    @pytest.mark.parametrize("form", ["out", "out_dir", "batch"])
+    def test_unwritable_output_is_one_line_error(self, form, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("ehservo.cli.run", no_run)
+        # --out into a missing directory or onto a directory; --batch onto a file
         if form == "out":
             args = ["--out", str(tmp_path / "missing" / "run.csv")]
+        elif form == "out_dir":
+            args = ["--out", str(tmp_path)]
         else:
             taken = _write(tmp_path, "", name="taken")
             args = ["--batch", str(taken)]

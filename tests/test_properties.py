@@ -1,5 +1,6 @@
 """Property tests over random inputs: the fuzzy basis, the consequent update,
-the dead-zone decomposition and the config round trip.
+the dead-zone decomposition, one RK4 step of a linear plant and the config
+round trip.
 
 Every test is derandomized with a bounded number of examples, so the suite
 stays deterministic and quick.
@@ -8,10 +9,21 @@ stays deterministic and quick.
 import math
 import struct
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm, matrix_balance
 
-from ehservo import FuzzyEstimator, PlantParams, adapt, dead_zone_d, dead_zone_output, membership
+from ehservo import (
+    FuzzyEstimator,
+    PlantParams,
+    PlantState,
+    adapt,
+    dead_zone_d,
+    dead_zone_output,
+    membership,
+    rk4_step,
+)
 from ehservo.cli import config_dump, parse_kv, resolve_config
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -77,6 +89,48 @@ def test_dead_zone_identity(delta_l, delta_r, kv, u):
     else:
         piecewise = 0.0
     assert _bits(x_sp) == _bits(piecewise)
+
+
+# PlantParams fields of the linear part, each drawn at 10**k times its default
+LINEAR_FIELDS = ("Ap", "Ctp", "beta_e", "Vt", "Mt", "Bp", "K")
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=len(LINEAR_FIELDS), max_size=len(LINEAR_FIELDS)),
+    st.floats(1e-3, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1e7, 1e7),
+)
+def test_rk4_step_of_a_linear_plant(exponents, h_rho, x, v, PL):
+    # u = 0 lies inside the dead band, so the spool is shut and the plant is
+    # exactly s' = A s; the supply pressure is far out of reach of the clamp
+    base = PlantParams()
+    p = PlantParams(Ps=1e30, **{
+        name: getattr(base, name) * 10.0**k for name, k in zip(LINEAR_FIELDS, exponents)
+    })
+    g = 4.0 * p.beta_e / p.Vt
+    A = np.array([
+        [0.0, 1.0, 0.0],
+        [-p.K / p.Mt, -p.Bp / p.Mt, p.Ap / p.Mt],
+        [0.0, -g * p.Ap, -g * p.Ctp],
+    ])
+    dt = h_rho / max(abs(np.linalg.eigvals(A)))
+    s0 = np.array([x, v, PL])
+    s = rk4_step(PlantState(x, v, PL), 0.0, dt, p)
+    got = np.array([s.x, s.v, s.PL])
+
+    # on a linear system one RK4 step is the degree-4 Taylor polynomial of expm(A dt)
+    hA = dt * A
+    term = taylor = np.eye(3)
+    for k in range(1, 5):
+        term = term @ hA / k
+        taylor = taylor + term
+    assert np.all(np.abs(got - taylor @ s0) <= 1e-13 * (np.abs(taylor) @ np.abs(s0)))
+
+    # its distance from the exact flow is fifth order in h*rho(A), measured in
+    # balanced coordinates, where position, velocity and pressure are comparable
+    _, (scale, _) = matrix_balance(A, permute=False, separate=True)
+    err = np.abs((got - expm(hA) @ s0) / scale).max()
+    assert err <= (0.1 * h_rho**5 + 1e-13) * np.abs(s0 / scale).max()
 
 
 @PROPERTY

@@ -39,6 +39,7 @@ class TestScenarioValidation:
     def test_defaults(self):
         sc = Scenario()
         assert sc.substeps == 2
+        assert sc.n_steps == 48000
         assert sc.duration == 120.0
 
     def test_non_integer_rate_ratio(self):
@@ -48,6 +49,9 @@ class TestScenarioValidation:
     def test_bad_duration(self):
         with pytest.raises(ValueError, match="duration"):
             Scenario(duration=0.0)
+        # shorter than one control period: the run would have no rows
+        with pytest.raises(ValueError, match="duration"):
+            Scenario(duration=0.001)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="supply_pressure_mode"):
