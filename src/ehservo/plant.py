@@ -143,8 +143,9 @@ def plant_rhs(
 ) -> tuple[float, float, float]:
     """Time derivatives (dx/dt, dv/dt, dPL/dt) at spool displacement x_sp.
 
-    The one written form of the plant's right-hand side, over plain floats:
+    The reference form of the plant's right-hand side, over plain floats:
     Ps is the supply pressure in force and c comes from rhs_constants. The
+    RK4 stages of sim.run are a copy of it that the tests replay against. The
     flow term is load_flow's orifice law; dv/dt is the force balance, which
     does not depend on the spool. Raises BlowUpError on a non-finite state.
     """

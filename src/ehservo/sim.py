@@ -56,6 +56,17 @@ class Scenario:
             raise ValueError(f"dt_plant must be strictly positive, got {self.dt_plant}")
         if not self.dt_control > 0.0:
             raise ValueError(f"dt_control must be strictly positive, got {self.dt_control}")
+        # the step counts round these ratios; an infinite one has no count
+        if not math.isfinite(self.dt_control / self.dt_plant):
+            raise ValueError(
+                f"dt_plant ({self.dt_plant}) is too small for dt_control "
+                f"({self.dt_control}): their ratio overflows"
+            )
+        if not math.isfinite(self.duration / self.dt_control):
+            raise ValueError(
+                f"duration ({self.duration}) spans too many control periods "
+                f"(dt_control = {self.dt_control}): their ratio overflows"
+            )
         n = self.substeps
         if n < 1 or abs(self.dt_control - n * self.dt_plant) > 1e-9 * self.dt_control:
             raise ValueError(
@@ -187,15 +198,8 @@ def rk4_step(s: PlantState, u: float, dt: float, p: PlantParams) -> PlantState:
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be strictly positive, got {dt}")
-    return PlantState(
-        *_rk4(s.x, s.v, s.PL, dead_zone_output(u, p), p.Ps, dt, rhs_constants(p))
-    )
-
-
-def _rk4(
-    x: float, v: float, PL: float, x_sp: float, Ps: float, dt: float, c: tuple[float, ...]
-) -> tuple[float, float, float]:
-    """rk4_step over plain floats: spool displacement x_sp held, supply pressure Ps."""
+    x, v, PL = s.x, s.v, s.PL
+    x_sp, Ps, c = dead_zone_output(u, p), p.Ps, rhs_constants(p)
     k1x, k1v, k1p = plant_rhs(x, v, PL, x_sp, Ps, c)
     h = 0.5 * dt
     k2x, k2v, k2p = plant_rhs(x + h * k1x, v + h * k1v, PL + h * k1p, x_sp, Ps, c)
@@ -211,7 +215,7 @@ def _rk4(
         PL = Ps
     elif PL < -Ps:
         PL = -Ps
-    return x, v, PL
+    return PlantState(x, v, PL)
 
 
 def run(
@@ -232,8 +236,10 @@ def run(
 
     The loop runs over plain floats. It inlines reference_at, combined_error,
     input_gain_b, equivalent_control, membership, infer, control_law, adapt,
-    dead_zone_d and sgn in their exact operation order, so every series equals
-    the one those public functions give, bit for bit; the tests replay them.
+    dead_zone_d, sgn, acceleration, supply_pressure, rk4_step and the four
+    plant_rhs stages of each substep in their exact operation order, so every
+    series equals the one those public functions give, bit for bit; the tests
+    replay them.
     """
     n_steps = scenario.n_steps
     n_sub = scenario.substeps
@@ -259,19 +265,25 @@ def run(
     n_rules = len(centers)
     c_first, c_last = centers[0], centers[-1]
     theta = list(est.d_hat)
-    # true plant
-    c = rhs_constants(plant)
+    # true plant: the constants of plant_rhs and the RK4 weights of rk4_step
+    cdw, rho, Ap, Bp, K, Mt, g, Ctp = rhs_constants(plant)
     Ps0, delta_l, delta_r, kv = plant.Ps, plant.delta_l, plant.delta_r, plant.kv
+    h = 0.5 * dt_p
+    w = dt_p / 6.0
 
     cols = [[0.0] * n_steps for _ in SERIES]
     T, X, XD, XERR, V, P, U, UHAT, D, DHAT, E, PS = cols
     x, v, PL = scenario.initial_state.x, scenario.initial_state.v, scenario.initial_state.PL
     ps = supply_pressure(scenario.supply_pressure_mode, x, Ps0)
+    # acceleration(): the force balance, which the spool does not enter. Each
+    # substep forms it again after its update, where it is both the next row's
+    # x_ddot and the next substep's first stage.
+    a = (Ap * PL - Bp * v - K * x) / Mt
     sign_prev = 0.0
 
     for k in range(n_steps):
         t = k * dt_c
-        x_ddot = plant_rhs(x, v, PL, 0.0, ps, c)[1]  # acceleration(): the force balance
+        x_ddot = a
         wt = omega * t
         sin_wt = math.sin(wt)
         cos_wt = math.cos(wt)
@@ -327,11 +339,80 @@ def run(
         sign_prev = 1.0 if u > 0.0 else -1.0 if u < 0.0 else 0.0
 
         x_sp = kv * (u - d)  # the dead-zone decomposition: dead_zone_output(u)
+        # the spool is held over the period: its flow branch and plant_rhs's
+        # first flow product cdw*x_sp are formed once
+        shut = x_sp == 0.0
+        opening = x_sp > 0.0
+        cq = cdw * x_sp
         try:
             for _ in range(n_sub):
-                x, v, PL = _rk4(x, v, PL, x_sp, ps, dt_p, c)
+                # stage 1 at (x, v, PL): finite after the last step's check
+                # (or Scenario's), with the force balance a as its dv/dt
+                if shut:
+                    q = 0.0
+                else:
+                    drop = ps - PL if opening else ps + PL
+                    if drop < EPS_CAV:
+                        drop = EPS_CAV
+                    q = cq * math.sqrt(drop / rho)
+                dp1 = g * (q - Ap * v - Ctp * PL)
+                # stage 2
+                x2, v2, P2 = x + h * v, v + h * a, PL + h * dp1
+                if not math.isfinite(x2 + v2 + P2) and not (
+                    math.isfinite(x2) and math.isfinite(v2) and math.isfinite(P2)
+                ):
+                    raise BlowUpError(f"non-finite plant state: x={x2}, v={v2}, PL={P2}")
+                dv2 = (Ap * P2 - Bp * v2 - K * x2) / Mt
+                if shut:
+                    q = 0.0
+                else:
+                    drop = ps - P2 if opening else ps + P2
+                    if drop < EPS_CAV:
+                        drop = EPS_CAV
+                    q = cq * math.sqrt(drop / rho)
+                dp2 = g * (q - Ap * v2 - Ctp * P2)
+                # stage 3
+                x3, v3, P3 = x + h * v2, v + h * dv2, PL + h * dp2
+                if not math.isfinite(x3 + v3 + P3) and not (
+                    math.isfinite(x3) and math.isfinite(v3) and math.isfinite(P3)
+                ):
+                    raise BlowUpError(f"non-finite plant state: x={x3}, v={v3}, PL={P3}")
+                dv3 = (Ap * P3 - Bp * v3 - K * x3) / Mt
+                if shut:
+                    q = 0.0
+                else:
+                    drop = ps - P3 if opening else ps + P3
+                    if drop < EPS_CAV:
+                        drop = EPS_CAV
+                    q = cq * math.sqrt(drop / rho)
+                dp3 = g * (q - Ap * v3 - Ctp * P3)
+                # stage 4
+                x4, v4, P4 = x + dt_p * v3, v + dt_p * dv3, PL + dt_p * dp3
+                if not math.isfinite(x4 + v4 + P4) and not (
+                    math.isfinite(x4) and math.isfinite(v4) and math.isfinite(P4)
+                ):
+                    raise BlowUpError(f"non-finite plant state: x={x4}, v={v4}, PL={P4}")
+                dv4 = (Ap * P4 - Bp * v4 - K * x4) / Mt
+                if shut:
+                    q = 0.0
+                else:
+                    drop = ps - P4 if opening else ps + P4
+                    if drop < EPS_CAV:
+                        drop = EPS_CAV
+                    q = cq * math.sqrt(drop / rho)
+                dp4 = g * (q - Ap * v4 - Ctp * P4)
+                x = x + w * (v + 2.0 * (v2 + v3) + v4)
+                v = v + w * (a + 2.0 * (dv2 + dv3) + dv4)
+                PL = PL + w * (dp1 + 2.0 * (dp2 + dp3) + dp4)
+                if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)):
+                    raise BlowUpError(f"non-finite state after RK4 step: x={x}, v={v}, PL={PL}")
+                if PL > ps:
+                    PL = ps
+                elif PL < -ps:
+                    PL = -ps
                 if varying:  # for the next substep, or the next row
-                    ps = supply_pressure("varying", x, Ps0)
+                    ps = Ps0 * (1.0 + 0.2 * math.sin(x))
+                a = (Ap * PL - Bp * v - K * x) / Mt
         except BlowUpError as err:
             raise BlowUpError(
                 f"{err} (control period starting at t={t:.6g} s)", time=t

@@ -45,6 +45,9 @@ class TestScenarioValidation:
     def test_non_integer_rate_ratio(self):
         with pytest.raises(ValueError, match="integer multiple"):
             Scenario(dt_plant=1 / 800, dt_control=1 / 300)
+        # a ratio that overflows has no step count to round to
+        with pytest.raises(ValueError, match="dt_plant"):
+            Scenario(dt_plant=5e-324)
 
     def test_bad_duration(self):
         with pytest.raises(ValueError, match="duration"):
@@ -52,6 +55,8 @@ class TestScenarioValidation:
         # shorter than one control period: the run would have no rows
         with pytest.raises(ValueError, match="duration"):
             Scenario(duration=0.001)
+        with pytest.raises(ValueError, match="duration"):
+            Scenario(duration=1e308)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="supply_pressure_mode"):
@@ -178,21 +183,23 @@ class TestRunMechanics:
 
     @pytest.mark.parametrize("mode", SUPPLY_MODES)
     def test_zero_order_hold_replay(self, mode):
-        # the recorded rows plus the held voltage reproduce the next row's
+        # every recorded row plus its held voltage reproduces the next row's
         # state exactly: the plant sees one constant u per control period,
         # and each substep the supply pressure at the state it starts from
         plant = PlantParams()
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=5.0, supply_pressure_mode=mode)
         res = run(sc, plant, cp, FuzzyEstimator.zeros())
-        for k in (0, 1, 7, 100, 1200, len(res.t) - 2):
-            s = PlantState(res.x[k], res.v[k], res.PL[k])
+        states = np.column_stack([res.x, res.v, res.PL])
+        replayed = []
+        for (x, v, PL), u in zip(states[:-1].tolist(), res.u.tolist()):
+            s = PlantState(x, v, PL)
             for _ in range(sc.substeps):
                 p_now = replace(plant, Ps=supply_pressure(mode, s.x, plant.Ps))
-                s = rk4_step(s, res.u[k], sc.dt_plant, p_now)
-            assert s.x == res.x[k + 1]
-            assert s.v == res.v[k + 1]
-            assert s.PL == res.PL[k + 1]
+                s = rk4_step(s, u, sc.dt_plant, p_now)
+            replayed.append((s.x, s.v, s.PL))
+        differ = np.flatnonzero(np.any(np.array(replayed) != states[1:], axis=1))
+        assert differ.size == 0, f"{differ.size} rows differ, first {differ[0] + 1}"
 
     def test_deterministic_series(self):
         plant = PlantParams()
