@@ -10,8 +10,10 @@ inputs always produce bit-identical series.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,6 +79,12 @@ class Scenario:
             raise ValueError(
                 f"duration ({self.duration}) must span at least one control period "
                 f"(dt_control = {self.dt_control})"
+            )
+        # run stores each series as n_steps 8-byte floats in one buffer
+        if 8 * self.n_steps > sys.maxsize:
+            raise ValueError(
+                f"duration ({self.duration}) spans more control periods "
+                f"(dt_control = {self.dt_control}) than a float64 column can index"
             )
         if self.supply_pressure_mode not in SUPPLY_MODES:
             raise ValueError(
@@ -144,7 +152,11 @@ class SimMetrics:
 
 @dataclass
 class SimResult:
-    """Control-rate time series of one run, the estimator grid it ran on, and its scores."""
+    """Control-rate time series of one run, the estimator grid it ran on, and its scores.
+
+    The series that run returns are float64 arrays over the buffers its loop
+    wrote, shared with no copy: a run costs 8 bytes per value.
+    """
 
     t: np.ndarray
     x: np.ndarray
@@ -240,6 +252,16 @@ def run(
     plant_rhs stages of each substep in their exact operation order, so every
     series equals the one those public functions give, bit for bit; the tests
     replay them.
+
+    Each substep checks finiteness once, on x + v + PL after the RK4 combine,
+    where rk4_step checks every stage. The one check misses no stage: every
+    stage value reaches the result as a term of a sum, times a positive
+    constant or times K, Bp or Ctp >= 0 (and 0*inf is NaN), so a non-finite
+    stage always leaves a non-finite result. When the check fails, the
+    substep is replayed through rk4_step, which raises the first failing
+    stage's message or its own post-step one. If it returns instead, the
+    finite parts only overflowed their sum, and the run goes on from its
+    state.
     """
     n_steps = scenario.n_steps
     n_sub = scenario.substeps
@@ -270,8 +292,11 @@ def run(
     Ps0, delta_l, delta_r, kv = plant.Ps, plant.delta_l, plant.delta_r, plant.kv
     h = 0.5 * dt_p
     w = dt_p / 6.0
+    sqrt, sin, cos, isfinite = math.sqrt, math.sin, math.cos, math.isfinite
 
-    cols = [[0.0] * n_steps for _ in SERIES]
+    # unboxed float64 columns: each value is stored as 8 bytes and its float
+    # object freed, and SimResult's arrays read these buffers without a copy
+    cols = [array("d", [0.0]) * n_steps for _ in SERIES]
     T, X, XD, XERR, V, P, U, UHAT, D, DHAT, E, PS = cols
     x, v, PL = scenario.initial_state.x, scenario.initial_state.v, scenario.initial_state.PL
     ps = supply_pressure(scenario.supply_pressure_mode, x, Ps0)
@@ -285,8 +310,8 @@ def run(
         t = k * dt_c
         x_ddot = a
         wt = omega * t
-        sin_wt = math.sin(wt)
-        cos_wt = math.cos(wt)
+        sin_wt = sin(wt)
+        cos_wt = cos(wt)
         xd = A * sin_wt
         xd_dot = A_w * cos_wt
         xd_ddot = A_w2 * sin_wt
@@ -298,12 +323,12 @@ def run(
         drop = Ps_m - sign_prev * ((Mt_m * x_ddot + Bp_m * v + K_m * x) / Ap_m)
         if drop < EPS_CAV:
             drop = EPS_CAV
-        b = b_pre * math.sqrt(drop / rho_m)
+        b = b_pre * sqrt(drop / rho_m)
         u_hat = (
             a0 * x + a1 * v + a2 * x_ddot + xd_dddot
             - c1 * (x_ddot - xd_ddot) - c0 * (v - xd_dot)
         ) / b
-        if not math.isfinite(u_hat):
+        if not isfinite(u_hat):
             raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
         # infer's sum starts at 0.0, and only the firing rules add to it
         if frozen:
@@ -321,7 +346,7 @@ def run(
             pair = True
             d_hat = 0.0 + theta[i] * psi_i + theta[i + 1] * frac
         u = u_hat + d_hat - kappa * e
-        if not math.isfinite(u):
+        if not isfinite(u):
             raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
         d = delta_l if u <= delta_l else delta_r if u >= delta_r else u
 
@@ -354,14 +379,10 @@ def run(
                     drop = ps - PL if opening else ps + PL
                     if drop < EPS_CAV:
                         drop = EPS_CAV
-                    q = cq * math.sqrt(drop / rho)
+                    q = cq * sqrt(drop / rho)
                 dp1 = g * (q - Ap * v - Ctp * PL)
                 # stage 2
                 x2, v2, P2 = x + h * v, v + h * a, PL + h * dp1
-                if not math.isfinite(x2 + v2 + P2) and not (
-                    math.isfinite(x2) and math.isfinite(v2) and math.isfinite(P2)
-                ):
-                    raise BlowUpError(f"non-finite plant state: x={x2}, v={v2}, PL={P2}")
                 dv2 = (Ap * P2 - Bp * v2 - K * x2) / Mt
                 if shut:
                     q = 0.0
@@ -369,14 +390,10 @@ def run(
                     drop = ps - P2 if opening else ps + P2
                     if drop < EPS_CAV:
                         drop = EPS_CAV
-                    q = cq * math.sqrt(drop / rho)
+                    q = cq * sqrt(drop / rho)
                 dp2 = g * (q - Ap * v2 - Ctp * P2)
                 # stage 3
                 x3, v3, P3 = x + h * v2, v + h * dv2, PL + h * dp2
-                if not math.isfinite(x3 + v3 + P3) and not (
-                    math.isfinite(x3) and math.isfinite(v3) and math.isfinite(P3)
-                ):
-                    raise BlowUpError(f"non-finite plant state: x={x3}, v={v3}, PL={P3}")
                 dv3 = (Ap * P3 - Bp * v3 - K * x3) / Mt
                 if shut:
                     q = 0.0
@@ -384,14 +401,10 @@ def run(
                     drop = ps - P3 if opening else ps + P3
                     if drop < EPS_CAV:
                         drop = EPS_CAV
-                    q = cq * math.sqrt(drop / rho)
+                    q = cq * sqrt(drop / rho)
                 dp3 = g * (q - Ap * v3 - Ctp * P3)
                 # stage 4
                 x4, v4, P4 = x + dt_p * v3, v + dt_p * dv3, PL + dt_p * dp3
-                if not math.isfinite(x4 + v4 + P4) and not (
-                    math.isfinite(x4) and math.isfinite(v4) and math.isfinite(P4)
-                ):
-                    raise BlowUpError(f"non-finite plant state: x={x4}, v={v4}, PL={P4}")
                 dv4 = (Ap * P4 - Bp * v4 - K * x4) / Mt
                 if shut:
                     q = 0.0
@@ -399,26 +412,28 @@ def run(
                     drop = ps - P4 if opening else ps + P4
                     if drop < EPS_CAV:
                         drop = EPS_CAV
-                    q = cq * math.sqrt(drop / rho)
+                    q = cq * sqrt(drop / rho)
                 dp4 = g * (q - Ap * v4 - Ctp * P4)
-                x = x + w * (v + 2.0 * (v2 + v3) + v4)
-                v = v + w * (a + 2.0 * (dv2 + dv3) + dv4)
-                PL = PL + w * (dp1 + 2.0 * (dp2 + dp3) + dp4)
-                if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)):
-                    raise BlowUpError(f"non-finite state after RK4 step: x={x}, v={v}, PL={PL}")
-                if PL > ps:
-                    PL = ps
-                elif PL < -ps:
-                    PL = -ps
+                x_n = x + w * (v + 2.0 * (v2 + v3) + v4)
+                v_n = v + w * (a + 2.0 * (dv2 + dv3) + dv4)
+                P_n = PL + w * (dp1 + 2.0 * (dp2 + dp3) + dp4)
+                if not isfinite(x_n + v_n + P_n):
+                    # a non-finite stage leaves a non-finite result (see the
+                    # docstring): rk4_step names it, or returns when the
+                    # finite parts only overflowed their sum
+                    s = rk4_step(PlantState(x, v, PL), u, dt_p, replace(plant, Ps=ps))
+                    x_n, v_n, P_n = s.x, s.v, s.PL
+                x, v = x_n, v_n
+                PL = ps if P_n > ps else -ps if P_n < -ps else P_n
                 if varying:  # for the next substep, or the next row
-                    ps = Ps0 * (1.0 + 0.2 * math.sin(x))
+                    ps = Ps0 * (1.0 + 0.2 * sin(x))
                 a = (Ap * PL - Bp * v - K * x) / Mt
         except BlowUpError as err:
             raise BlowUpError(
                 f"{err} (control period starting at t={t:.6g} s)", time=t
             ) from None
 
-    series = dict(zip(SERIES, (np.asarray(col, dtype=float) for col in cols)))
+    series = dict(zip(SERIES, (np.frombuffer(col, dtype=np.float64) for col in cols)))
     report = _monitor_series(series["e"], series["uhat"], series["dhat"], dt_c, centers, monitor)
     metrics = _compute_metrics(
         series["xerr"], series["d"], series["dhat"], monitor.transient_fraction

@@ -302,8 +302,9 @@ class TestMain:
         assert names == ["constant_ps.csv", "constant_ps_frozen.csv", "varying_ps.csv"]
 
     # 0.001 s is shorter than one control period, so the run would have no
-    # rows; 1e308 s holds more control periods than a float can count
-    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0.001", "1e308"])
+    # rows; 1e308 s holds more control periods than a float can count, and
+    # 1e300 s more than a float64 column can index
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0.001", "1e308", "1e300"])
     def test_bad_duration_flag_is_config_error(self, value, capsys):
         assert main(["run", "--duration", value]) == 1
         err = capsys.readouterr().err

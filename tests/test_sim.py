@@ -1,6 +1,8 @@
 """Closed-loop executor: reference, supply modes, RK4, run mechanics, kernel replay, monitor."""
 
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +33,9 @@ from ehservo import (
     stability_monitor,
     supply_pressure,
 )
-from ehservo.sim import SUPPLY_MODES, MonitorReport
+from ehservo import sim
+from ehservo.plant import plant_rhs
+from ehservo.sim import SERIES, SUPPLY_MODES, MonitorReport
 from lyapunov import lyapunov_series, replay_consequents
 
 
@@ -57,6 +61,11 @@ class TestScenarioValidation:
             Scenario(duration=0.001)
         with pytest.raises(ValueError, match="duration"):
             Scenario(duration=1e308)
+        # a finite count whose 8-byte columns cannot be indexed
+        with pytest.raises(ValueError, match="duration"):
+            Scenario(duration=1e300)
+        # an indexable count passes; constructing allocates no column
+        assert Scenario(duration=1e6).n_steps == 400_000_000
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="supply_pressure_mode"):
@@ -245,6 +254,83 @@ class TestRunMechanics:
         message = str(err.value)
         assert message.startswith("non-finite plant state: ")
         assert message.endswith(" (control period starting at t=0.005 s)")
+
+    # states found by searching with rk4_step: the first non-finite value of
+    # the first substep appears in the input of RK4 stage 2, 3 or 4, or only
+    # in the combined step
+    @pytest.mark.parametrize("state, stage", [
+        (PlantState(0.0, 1e301, 0.0), 2),
+        (PlantState(0.0, 1e250, 0.0), 3),
+        (PlantState(1e250, 0.0, 0.0), 4),
+        (PlantState(0.0, 1e185, 0.0), "combine"),
+    ], ids=["stage2", "stage3", "stage4", "combine"])
+    def test_blow_up_names_the_first_non_finite_stage(self, state, stage, monkeypatch):
+        # run checks once per substep; its message and time must still be
+        # those of rk4_step, which checks every stage
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
+        sc = Scenario(duration=1.0, initial_state=state)
+        # the first control period from the public functions; the zero
+        # estimator infers d_hat = 0
+        x_ddot = acceleration(state, plant)
+        ref = reference_at(0.0, sc.amplitude, sc.omega)
+        e = combined_error(state.x - ref.xd, state.v - ref.xd_dot, x_ddot - ref.xd_ddot, cp)
+        b = input_gain_b(state.x, state.v, x_ddot, 0.0, cp.model)
+        u_hat = equivalent_control(
+            state.x, state.v, x_ddot, ref, model_coefficients(cp.model), b, cp
+        )
+        u = control_law(u_hat, 0.0, e, cp)
+        stages = []
+        with monkeypatch.context() as m:
+            m.setattr(sim, "plant_rhs", lambda *args: stages.append(1) or plant_rhs(*args))
+            with pytest.raises(BlowUpError) as ref_err:
+                rk4_step(state, u, sc.dt_plant, plant)
+        message = str(ref_err.value)
+        after_combine = message.startswith("non-finite state after RK4 step: ")
+        assert ("combine" if after_combine else len(stages)) == stage
+        with pytest.raises(BlowUpError) as err:
+            run(sc, plant, cp, FuzzyEstimator.zeros())
+        assert str(err.value) == f"{message} (control period starting at t=0 s)"
+        assert err.value.time == 0.0
+
+    def test_sum_only_overflow_continues(self, monkeypatch):
+        # a state next to the largest float, whose unclamped x + v + PL
+        # overflows after every substep while each part stays finite: run
+        # replays each substep through rk4_step, which returns, and goes on
+        # from its state
+        plant = replace(PlantParams(), beta_e=1e5, Vt=0.03, Bp=0.0, K=0.1)
+        cp = ControllerParams(c0=1e-6, c1=1e-6, model=plant)
+        sc = Scenario(duration=0.005, amplitude=0.0,
+                      initial_state=PlantState(sys.float_info.max, 0.0, 0.0))
+        replays = []
+        monkeypatch.setattr(sim, "rk4_step", lambda *args: replays.append(1) or rk4_step(*args))
+        res = run(sc, plant, cp, FuzzyEstimator.zeros())
+        assert len(replays) == sc.n_steps * sc.substeps
+        s = PlantState(float(res.x[0]), float(res.v[0]), float(res.PL[0]))
+        for _ in range(sc.substeps):
+            s = rk4_step(s, float(res.u[0]), sc.dt_plant, plant)
+        assert (s.x, s.v, s.PL) == (res.x[1], res.v[1], res.PL[1])
+
+    def test_columns_cost_eight_bytes_a_value(self):
+        # the twelve series are stored unboxed, 96 bytes a row, and handed to
+        # SimResult without a copy: run's peak traced allocation stays within
+        # twice that (measured ~120 bytes a row; lists of boxed floats cost
+        # ~450)
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
+        sc = Scenario(duration=2.0)
+        est = FuzzyEstimator.zeros()
+        run(sc, plant, cp, est)  # imports and first-call set-up
+        tracemalloc.start()
+        try:
+            res = run(sc, plant, cp, est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for name in SERIES:
+            col = getattr(res, name)
+            assert col.dtype == np.float64 and col.shape == (sc.n_steps,), name
+        assert peak <= 2 * len(SERIES) * 8 * sc.n_steps, f"{peak / sc.n_steps:.0f} B/row"
 
     def test_pressure_stays_within_supply(self, default_run):
         result, _ = default_run
