@@ -154,8 +154,8 @@ class SimMetrics:
 class SimResult:
     """Control-rate time series of one run, the estimator grid it ran on, and its scores.
 
-    The series that run returns are float64 arrays over the buffers its loop
-    wrote, shared with no copy: a run costs 8 bytes per value.
+    The series that run returns are float64 arrays over the buffers it
+    filled, shared with no copy: a run costs 8 bytes per value.
     """
 
     t: np.ndarray
@@ -253,6 +253,12 @@ def run(
     series equals the one those public functions give, bit for bit; the tests
     replay them.
 
+    Each step writes x, xd, v, PL, u, uhat and e, plus dhat when adapting
+    and Ps when the supply varies. After the loop, t = k*dt_control,
+    xerr = x - xd, d = dead_zone_d(u) and a constant Ps are filled in over
+    the same buffers with the same bits; a frozen run's dhat keeps the
+    columns' initial +0.0.
+
     Each substep checks finiteness once, on x + v + PL after the RK4 combine,
     where rk4_step checks every stage. The one check misses no stage: every
     stage value reaches the result as a term of a sum, times a positive
@@ -292,12 +298,14 @@ def run(
     Ps0, delta_l, delta_r, kv = plant.Ps, plant.delta_l, plant.delta_r, plant.kv
     h = 0.5 * dt_p
     w = dt_p / 6.0
-    sqrt, sin, cos, isfinite = math.sqrt, math.sin, math.cos, math.isfinite
+    sqrt, sin, cos, isfinite, eps_cav = math.sqrt, math.sin, math.cos, math.isfinite, EPS_CAV
+    substeps = range(n_sub)
 
     # unboxed float64 columns: each value is stored as 8 bytes and its float
-    # object freed, and SimResult's arrays read these buffers without a copy
+    # object freed, and SimResult's arrays read these buffers without a copy.
+    # t, xerr and d are filled in after the loop.
     cols = [array("d", [0.0]) * n_steps for _ in SERIES]
-    T, X, XD, XERR, V, P, U, UHAT, D, DHAT, E, PS = cols
+    _, X, XD, _, V, P, U, UHAT, _, DHAT, E, PS = cols
     x, v, PL = scenario.initial_state.x, scenario.initial_state.v, scenario.initial_state.PL
     ps = supply_pressure(scenario.supply_pressure_mode, x, Ps0)
     # acceleration(): the force balance, which the spool does not enter. Each
@@ -321,12 +329,12 @@ def run(
         xerr_ddot = x_ddot - xd_ddot
         e = c0 * xerr + c1 * xerr_dot + xerr_ddot
         drop = Ps_m - sign_prev * ((Mt_m * x_ddot + Bp_m * v + K_m * x) / Ap_m)
-        if drop < EPS_CAV:
-            drop = EPS_CAV
+        if drop < eps_cav:
+            drop = eps_cav
         b = b_pre * sqrt(drop / rho_m)
         u_hat = (
             a0 * x + a1 * v + a2 * x_ddot + xd_dddot
-            - c1 * (x_ddot - xd_ddot) - c0 * (v - xd_dot)
+            - c1 * xerr_ddot - c0 * xerr_dot
         ) / b
         if not isfinite(u_hat):
             raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
@@ -350,10 +358,13 @@ def run(
             raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
         d = delta_l if u <= delta_l else delta_r if u >= delta_r else u
 
-        T[k], X[k], XD[k], XERR[k], V[k], P[k] = t, x, xd, xerr, v, PL
-        U[k], UHAT[k], D[k], DHAT[k], E[k], PS[k] = u, u_hat, d, d_hat, e, ps
+        X[k], XD[k], V[k], P[k] = x, xd, v, PL
+        U[k], UHAT[k], E[k] = u, u_hat, e
+        if varying:
+            PS[k] = ps
 
         if not frozen:
+            DHAT[k] = d_hat
             step = phi * e * dt_c
             if step != 0.0:
                 if pair:
@@ -365,54 +376,43 @@ def run(
 
         x_sp = kv * (u - d)  # the dead-zone decomposition: dead_zone_output(u)
         # the spool is held over the period: its flow branch and plant_rhs's
-        # first flow product cdw*x_sp are formed once
-        shut = x_sp == 0.0
+        # first flow product cdw*x_sp are formed once. A shut spool gives
+        # cq = 0 and so q = 0, plant_rhs's QL, with no branch of its own; on
+        # an infinite radicand q is NaN, and the substep check replays it.
         opening = x_sp > 0.0
         cq = cdw * x_sp
         try:
-            for _ in range(n_sub):
+            for _ in substeps:
                 # stage 1 at (x, v, PL): finite after the last step's check
                 # (or Scenario's), with the force balance a as its dv/dt
-                if shut:
-                    q = 0.0
-                else:
-                    drop = ps - PL if opening else ps + PL
-                    if drop < EPS_CAV:
-                        drop = EPS_CAV
-                    q = cq * sqrt(drop / rho)
+                drop = ps - PL if opening else ps + PL
+                if drop < eps_cav:
+                    drop = eps_cav
+                q = cq * sqrt(drop / rho)
                 dp1 = g * (q - Ap * v - Ctp * PL)
                 # stage 2
                 x2, v2, P2 = x + h * v, v + h * a, PL + h * dp1
                 dv2 = (Ap * P2 - Bp * v2 - K * x2) / Mt
-                if shut:
-                    q = 0.0
-                else:
-                    drop = ps - P2 if opening else ps + P2
-                    if drop < EPS_CAV:
-                        drop = EPS_CAV
-                    q = cq * sqrt(drop / rho)
+                drop = ps - P2 if opening else ps + P2
+                if drop < eps_cav:
+                    drop = eps_cav
+                q = cq * sqrt(drop / rho)
                 dp2 = g * (q - Ap * v2 - Ctp * P2)
                 # stage 3
                 x3, v3, P3 = x + h * v2, v + h * dv2, PL + h * dp2
                 dv3 = (Ap * P3 - Bp * v3 - K * x3) / Mt
-                if shut:
-                    q = 0.0
-                else:
-                    drop = ps - P3 if opening else ps + P3
-                    if drop < EPS_CAV:
-                        drop = EPS_CAV
-                    q = cq * sqrt(drop / rho)
+                drop = ps - P3 if opening else ps + P3
+                if drop < eps_cav:
+                    drop = eps_cav
+                q = cq * sqrt(drop / rho)
                 dp3 = g * (q - Ap * v3 - Ctp * P3)
                 # stage 4
                 x4, v4, P4 = x + dt_p * v3, v + dt_p * dv3, PL + dt_p * dp3
                 dv4 = (Ap * P4 - Bp * v4 - K * x4) / Mt
-                if shut:
-                    q = 0.0
-                else:
-                    drop = ps - P4 if opening else ps + P4
-                    if drop < EPS_CAV:
-                        drop = EPS_CAV
-                    q = cq * sqrt(drop / rho)
+                drop = ps - P4 if opening else ps + P4
+                if drop < eps_cav:
+                    drop = eps_cav
+                q = cq * sqrt(drop / rho)
                 dp4 = g * (q - Ap * v4 - Ctp * P4)
                 x_n = x + w * (v + 2.0 * (v2 + v3) + v4)
                 v_n = v + w * (a + 2.0 * (dv2 + dv3) + dv4)
@@ -434,6 +434,14 @@ def run(
             ) from None
 
     series = dict(zip(SERIES, (np.frombuffer(col, dtype=np.float64) for col in cols)))
+    # the series the loop skipped, bit for bit in place: float(k) is exact for
+    # k < 2**53, so arange(n)*dt is the loop's k*dt_c, and clip selects the
+    # value dead_zone_d returns (delta_l < 0 < delta_r, u finite)
+    np.multiply(np.arange(n_steps, dtype=np.float64), dt_c, out=series["t"])
+    np.subtract(series["x"], series["xd"], out=series["xerr"])
+    np.clip(series["u"], delta_l, delta_r, out=series["d"])
+    if not varying:
+        series["Ps"].fill(ps)
     report = _monitor_series(series["e"], series["uhat"], series["dhat"], dt_c, centers, monitor)
     metrics = _compute_metrics(
         series["xerr"], series["d"], series["dhat"], monitor.transient_fraction

@@ -1,5 +1,7 @@
 """Config loading, CSV emission, summaries, and the command-line front end."""
 
+import hashlib
+import platform
 from dataclasses import fields
 
 import numpy as np
@@ -191,6 +193,17 @@ class TestSchema:
         assert expected - reached == set()
 
 
+# SHA-256 of the CSVs of `ehservo run --out`, `--scenario varying-ps` and
+# `--freeze-adaptation`: the byte-identity yardstick of every kernel change.
+# The series go through libm's sin and cos, so another platform's libm can
+# change a digest; the failure message names the platform.
+YARDSTICK_SHA256 = {
+    "default_run": "571f82736373ee1eab7919627951cc6805f4c4cf4fbad5da78ad4d97fe1a25f1",
+    "varying_run": "c8903c1e175f3e7565b310fc91e1f85c31135d73b95988cf917b63cc1fe4a9f2",
+    "frozen_run": "ec3becb37b2d37413d6722430dc5c76457e2bd377fd7b4f11360f216d5daa046",
+}
+
+
 def _empty_result():
     z = np.zeros(0)
     return SimResult(
@@ -221,6 +234,20 @@ class TestCsv:
         write_csv(_short_run(), p1)
         write_csv(_short_run(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("fixture", list(YARDSTICK_SHA256))
+    def test_default_runs_keep_their_digests(self, fixture, request, tmp_path):
+        result = request.getfixturevalue(fixture)
+        if fixture == "default_run":
+            result = result[0]  # (result, wall time)
+        path = tmp_path / "run.csv"
+        write_csv(result, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == YARDSTICK_SHA256[fixture], (
+            f"{fixture} CSV hashes to {digest} on {platform.platform()} "
+            f"({platform.machine()}, libc {' '.join(platform.libc_ver())}, "
+            f"Python {platform.python_version()}, numpy {np.__version__})"
+        )
 
     def test_line_endings_are_lf(self, tmp_path):
         path = tmp_path / "run.csv"

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from ehservo import (
     combined_error,
     control_law,
     dead_zone_d,
+    dead_zone_output,
     equivalent_control,
     input_gain_b,
     model_coefficients,
@@ -37,6 +39,11 @@ from ehservo import sim
 from ehservo.plant import plant_rhs
 from ehservo.sim import SERIES, SUPPLY_MODES, MonitorReport
 from lyapunov import lyapunov_series, replay_consequents
+
+# a dead band that holds every finite voltage: the spool never opens
+SHUT_SPOOL = replace(
+    PlantParams(), delta_l=-sys.float_info.max, delta_r=sys.float_info.max
+)
 
 
 class TestScenarioValidation:
@@ -257,17 +264,20 @@ class TestRunMechanics:
 
     # states found by searching with rk4_step: the first non-finite value of
     # the first substep appears in the input of RK4 stage 2, 3 or 4, or only
-    # in the combined step
-    @pytest.mark.parametrize("state, stage", [
-        (PlantState(0.0, 1e301, 0.0), 2),
-        (PlantState(0.0, 1e250, 0.0), 3),
-        (PlantState(1e250, 0.0, 0.0), 4),
-        (PlantState(0.0, 1e185, 0.0), "combine"),
-    ], ids=["stage2", "stage3", "stage4", "combine"])
-    def test_blow_up_names_the_first_non_finite_stage(self, state, stage, monkeypatch):
+    # in the combined step. On SHUT_SPOOL each stage's flow is
+    # 0*sqrt(radicand), which is 0*inf = NaN once a stage pressure has
+    # overflowed to +inf (v = -1e301).
+    @pytest.mark.parametrize("state, plant, stage", [
+        (PlantState(0.0, 1e301, 0.0), PlantParams(), 2),
+        (PlantState(0.0, 1e250, 0.0), PlantParams(), 3),
+        (PlantState(1e250, 0.0, 0.0), PlantParams(), 4),
+        (PlantState(0.0, 1e185, 0.0), PlantParams(), "combine"),
+        (PlantState(0.0, 1e301, 0.0), SHUT_SPOOL, 2),
+        (PlantState(0.0, -1e301, 0.0), SHUT_SPOOL, 2),
+    ], ids=["stage2", "stage3", "stage4", "combine", "shut-stage2", "shut-stage2-nan"])
+    def test_blow_up_names_the_first_non_finite_stage(self, state, plant, stage, monkeypatch):
         # run checks once per substep; its message and time must still be
         # those of rk4_step, which checks every stage
-        plant = PlantParams()
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=1.0, initial_state=state)
         # the first control period from the public functions; the zero
@@ -280,6 +290,7 @@ class TestRunMechanics:
             state.x, state.v, x_ddot, ref, model_coefficients(cp.model), b, cp
         )
         u = control_law(u_hat, 0.0, e, cp)
+        assert (dead_zone_output(u, plant) == 0.0) == (plant is SHUT_SPOOL)
         stages = []
         with monkeypatch.context() as m:
             m.setattr(sim, "plant_rhs", lambda *args: stages.append(1) or plant_rhs(*args))
@@ -292,6 +303,21 @@ class TestRunMechanics:
             run(sc, plant, cp, FuzzyEstimator.zeros())
         assert str(err.value) == f"{message} (control period starting at t=0 s)"
         assert err.value.time == 0.0
+
+    def test_shut_spool_with_infinite_radicand_continues(self):
+        # at rho = 1e-306 every orifice radicand drop/rho overflows while the
+        # state stays finite: a shut spool passes no flow (plant_rhs's
+        # QL = 0), and the run equals a zero-order-hold replay of rk4_step
+        plant = replace(SHUT_SPOOL, rho=1e-306)
+        cp = ControllerParams(model=PlantParams())
+        sc = Scenario(duration=0.05, initial_state=PlantState(0.01, 0.1, 1e5))
+        res = run(sc, plant, cp, FuzzyEstimator.zeros())
+        assert not np.any(res.u - res.d)
+        s = sc.initial_state
+        for k in range(1, sc.n_steps):
+            for _ in range(sc.substeps):
+                s = rk4_step(s, float(res.u[k - 1]), sc.dt_plant, plant)
+            assert (s.x, s.v, s.PL) == (res.x[k], res.v[k], res.PL[k]), k
 
     def test_sum_only_overflow_continues(self, monkeypatch):
         # a state next to the largest float, whose unclamped x + v + PL
@@ -331,6 +357,31 @@ class TestRunMechanics:
             col = getattr(res, name)
             assert col.dtype == np.float64 and col.shape == (sc.n_steps,), name
         assert peak <= 2 * len(SERIES) * 8 * sc.n_steps, f"{peak / sc.n_steps:.0f} B/row"
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["adaptive", "frozen"])
+    def test_filled_columns_equal_their_definitions(self, frozen):
+        # t, xerr, d and a constant Ps are filled in after the loop; away
+        # from the default rates and over 1e5 rows they must still hold the
+        # bits of k*dt, x - xd, dead_zone_d(u) and Ps
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
+        sc = Scenario(duration=334.0, dt_control=1 / 300, dt_plant=1 / 900,
+                      freeze_adaptation=frozen)
+        res = run(sc, plant, cp, FuzzyEstimator.zeros())
+        n = sc.n_steps
+        assert n >= 100_000
+        u = res.u.tolist()
+        assert min(u) < plant.delta_l and max(u) > plant.delta_r
+        expected = {
+            "t": (k * sc.dt_control for k in range(n)),
+            "xerr": (x - xd for x, xd in zip(res.x.tolist(), res.xd.tolist())),
+            "d": (dead_zone_d(uk, plant) for uk in u),
+            "Ps": (plant.Ps for _ in range(n)),
+        }
+        for name, column in expected.items():
+            assert getattr(res, name).tobytes() == array("d", column).tobytes(), name
+        if frozen:
+            assert res.dhat.tobytes() == bytes(8 * n)  # +0.0 throughout
 
     def test_pressure_stays_within_supply(self, default_run):
         result, _ = default_run
