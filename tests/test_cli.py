@@ -20,7 +20,7 @@ from ehservo.cli import (
     summarize,
     write_csv,
 )
-from ehservo.sim import MonitorParams, MonitorReport, SimMetrics, SimResult
+from ehservo.sim import SERIES, MonitorParams, MonitorReport, SimMetrics, SimResult
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -202,6 +202,24 @@ YARDSTICK_SHA256 = {
     "varying_run": "c8903c1e175f3e7565b310fc91e1f85c31135d73b95988cf917b63cc1fe4a9f2",
     "frozen_run": "ec3becb37b2d37413d6722430dc5c76457e2bd377fd7b4f11360f216d5daa046",
 }
+# SHA-256 of the same runs' SERIES arrays at full precision (tobytes() in
+# SERIES order): the CSV's 12 digits miss a change in the last bits
+SERIES_SHA256 = {
+    "default_run": "c4bf8b6989fbc7aed4e803dc798155af4605465c74dd43c62fc09257394c43e5",
+    "varying_run": "6550501087ed2b6fc19f3c1df9d32d19dacd7ce5e350087f321da1ccfef2b5d7",
+    "frozen_run": "58c4a60261c27d37cdca70d9c308c79af6e6f3ddabeb338499d4b4471e8fde8a",
+}
+
+
+def _fixture_result(request, fixture):
+    result = request.getfixturevalue(fixture)
+    return result[0] if fixture == "default_run" else result  # (result, wall time)
+
+
+def _platform():
+    return (f"{platform.platform()} ({platform.machine()}, libc "
+            f"{' '.join(platform.libc_ver())}, Python {platform.python_version()}, "
+            f"numpy {np.__version__})")
 
 
 def _empty_result():
@@ -237,16 +255,21 @@ class TestCsv:
 
     @pytest.mark.parametrize("fixture", list(YARDSTICK_SHA256))
     def test_default_runs_keep_their_digests(self, fixture, request, tmp_path):
-        result = request.getfixturevalue(fixture)
-        if fixture == "default_run":
-            result = result[0]  # (result, wall time)
         path = tmp_path / "run.csv"
-        write_csv(result, path)
+        write_csv(_fixture_result(request, fixture), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == YARDSTICK_SHA256[fixture], (
-            f"{fixture} CSV hashes to {digest} on {platform.platform()} "
-            f"({platform.machine()}, libc {' '.join(platform.libc_ver())}, "
-            f"Python {platform.python_version()}, numpy {np.__version__})"
+            f"{fixture} CSV hashes to {digest} on {_platform()}"
+        )
+
+    @pytest.mark.parametrize("fixture", list(SERIES_SHA256))
+    def test_default_runs_keep_their_series_digests(self, fixture, request):
+        result = _fixture_result(request, fixture)
+        digest = hashlib.sha256()
+        for name in SERIES:
+            digest.update(getattr(result, name).tobytes())
+        assert digest.hexdigest() == SERIES_SHA256[fixture], (
+            f"{fixture} series hash to {digest.hexdigest()} on {_platform()}"
         )
 
     def test_line_endings_are_lf(self, tmp_path):
