@@ -46,11 +46,6 @@ class FuzzyEstimator:
         if any(not math.isfinite(d) for d in d_hat):
             raise ValueError("d_hat must all be finite")
 
-    @classmethod
-    def zeros(cls, centers: Sequence[float] = DEFAULT_CENTERS) -> "FuzzyEstimator":
-        """Estimator over the given grid starting with no compensation."""
-        return cls(tuple(centers))
-
 
 def membership(u_hat: float, centers: Sequence[float]) -> tuple[float, ...]:
     """Normalized firing strengths of every rule at input u_hat.

@@ -4,6 +4,10 @@ Three-state ground truth: piston position x [m], velocity v [m/s] and load
 pressure PL [Pa]. The control voltage maps through the valve dead zone to an
 effective spool displacement, the spool meters flow through the orifice
 equation, and the flow feeds the pressure/force balance on the piston.
+
+plant_derivatives writes that right-hand side once, over dead_zone_output,
+load_flow and acceleration. The RK4 stages of sim.run are its one copy, and
+the tests pin that copy to it bit for bit.
 """
 
 from __future__ import annotations
@@ -124,56 +128,32 @@ def load_flow(x_sp: float, PL: float, p: PlantParams) -> float:
     return p.Cd * p.w * x_sp * math.sqrt(drop / p.rho)
 
 
-def rhs_constants(p: PlantParams) -> tuple[float, ...]:
-    """Constants of plant_rhs, formed once per parameter set.
+def plant_derivatives(s: PlantState, u: float, p: PlantParams) -> tuple[float, float, float]:
+    """Time derivatives (dx/dt, dv/dt, dPL/dt) under held control voltage u.
 
-    (Cd*w, rho, Ap, Bp, K, Mt, 4*beta_e/Vt, Ctp): each product is the one the
-    equations form first, left to right, so hoisting it changes no bit.
+    The plant's one written right-hand side: the spool displacement through
+    the dead zone, its flow through load_flow, the force balance of
+    acceleration and the continuity equation of the chamber pressure. The RK4
+    stages of sim.run are its only copy, which the tests replay against it.
+    Raises BlowUpError on a non-finite state or spool displacement.
     """
-    return (p.Cd * p.w, p.rho, p.Ap, p.Bp, p.K, p.Mt, 4.0 * p.beta_e / p.Vt, p.Ctp)
-
-
-def plant_rhs(
-    x: float,
-    v: float,
-    PL: float,
-    x_sp: float,
-    Ps: float,
-    c: tuple[float, ...],
-) -> tuple[float, float, float]:
-    """Time derivatives (dx/dt, dv/dt, dPL/dt) at spool displacement x_sp.
-
-    The reference form of the plant's right-hand side, over plain floats:
-    Ps is the supply pressure in force and c comes from rhs_constants. The
-    RK4 stages of sim.run are a copy of it that the tests replay against. The
-    flow term is load_flow's orifice law; dv/dt is the force balance, which
-    does not depend on the spool. Raises BlowUpError on a non-finite state.
-    """
+    x, v, PL = s.x, s.v, s.PL
     # one call for a finite state; the sum alone could overflow on finite parts
     if not math.isfinite(x + v + PL) and not (
         math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)
     ):
         raise BlowUpError(f"non-finite plant state: x={x}, v={v}, PL={PL}")
-    cdw, rho, Ap, Bp, K, Mt, g, Ctp = c
-    if x_sp == 0.0:
-        QL = 0.0
-    else:
-        drop = Ps - PL if x_sp > 0.0 else Ps + PL
-        if drop < EPS_CAV:
-            drop = EPS_CAV
-        QL = cdw * x_sp * math.sqrt(drop / rho)
-    return v, (Ap * PL - Bp * v - K * x) / Mt, g * (QL - Ap * v - Ctp * PL)
-
-
-def plant_derivatives(s: PlantState, u: float, p: PlantParams) -> tuple[float, float, float]:
-    """Time derivatives (dx/dt, dv/dt, dPL/dt) under held control voltage u."""
-    return plant_rhs(s.x, s.v, s.PL, dead_zone_output(u, p), p.Ps, rhs_constants(p))
+    x_sp = dead_zone_output(u, p)
+    if not math.isfinite(x_sp):
+        raise BlowUpError(f"non-finite spool displacement: x_sp={x_sp} at u={u}")
+    QL = load_flow(x_sp, PL, p)
+    return v, acceleration(s, p), 4.0 * p.beta_e / p.Vt * (QL - p.Ap * v - p.Ctp * PL)
 
 
 def acceleration(s: PlantState, p: PlantParams) -> float:
     """Piston acceleration [m/s^2] from the force balance.
 
-    This is the signal the controller reads as the measured acceleration: the
-    velocity derivative of plant_rhs, which the spool does not enter.
+    This is the signal the controller reads as the measured acceleration, and
+    the velocity derivative of plant_derivatives: the spool does not enter it.
     """
-    return plant_rhs(s.x, s.v, s.PL, 0.0, p.Ps, rhs_constants(p))[1]
+    return (p.Ap * s.PL - p.Bp * s.v - p.K * s.x) / p.Mt

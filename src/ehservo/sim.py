@@ -19,15 +19,7 @@ import numpy as np
 
 from .controller import ControllerParams, ReferencePoint, model_coefficients
 from .fuzzy import FuzzyEstimator
-from .plant import (
-    EPS_CAV,
-    BlowUpError,
-    PlantParams,
-    PlantState,
-    dead_zone_output,
-    plant_rhs,
-    rhs_constants,
-)
+from .plant import EPS_CAV, BlowUpError, PlantParams, PlantState, plant_derivatives
 
 SUPPLY_MODES = ("constant", "varying")
 
@@ -205,28 +197,29 @@ def supply_pressure(mode: str, x: float, ps_nominal: float) -> float:
 def rk4_step(s: PlantState, u: float, dt: float, p: PlantParams) -> PlantState:
     """One classical Runge-Kutta step with the control voltage held constant.
 
-    The load pressure is clamped to [-Ps, Ps] afterwards; beyond that range
-    the orifice model stops being physical.
+    Its four stages call plant_derivatives, the written reference of the
+    plant; sim.run's loop carries the one inlined copy of them. The load
+    pressure is clamped to [-Ps, Ps] afterwards; beyond that range the
+    orifice model stops being physical.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be strictly positive, got {dt}")
     x, v, PL = s.x, s.v, s.PL
-    x_sp, Ps, c = dead_zone_output(u, p), p.Ps, rhs_constants(p)
-    k1x, k1v, k1p = plant_rhs(x, v, PL, x_sp, Ps, c)
+    k1x, k1v, k1p = plant_derivatives(s, u, p)
     h = 0.5 * dt
-    k2x, k2v, k2p = plant_rhs(x + h * k1x, v + h * k1v, PL + h * k1p, x_sp, Ps, c)
-    k3x, k3v, k3p = plant_rhs(x + h * k2x, v + h * k2v, PL + h * k2p, x_sp, Ps, c)
-    k4x, k4v, k4p = plant_rhs(x + dt * k3x, v + dt * k3v, PL + dt * k3p, x_sp, Ps, c)
+    k2x, k2v, k2p = plant_derivatives(PlantState(x + h * k1x, v + h * k1v, PL + h * k1p), u, p)
+    k3x, k3v, k3p = plant_derivatives(PlantState(x + h * k2x, v + h * k2v, PL + h * k2p), u, p)
+    k4x, k4v, k4p = plant_derivatives(PlantState(x + dt * k3x, v + dt * k3v, PL + dt * k3p), u, p)
     w = dt / 6.0
     x = x + w * (k1x + 2.0 * (k2x + k3x) + k4x)
     v = v + w * (k1v + 2.0 * (k2v + k3v) + k4v)
     PL = PL + w * (k1p + 2.0 * (k2p + k3p) + k4p)
     if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)):
         raise BlowUpError(f"non-finite state after RK4 step: x={x}, v={v}, PL={PL}")
-    if PL > Ps:
-        PL = Ps
-    elif PL < -Ps:
-        PL = -Ps
+    if PL > p.Ps:
+        PL = p.Ps
+    elif PL < -p.Ps:
+        PL = -p.Ps
     return PlantState(x, v, PL)
 
 
@@ -249,9 +242,10 @@ def run(
     The loop runs over plain floats. It inlines reference_at, combined_error,
     input_gain_b, equivalent_control, membership, infer, control_law, adapt,
     dead_zone_d, sgn, acceleration, supply_pressure, rk4_step and the four
-    plant_rhs stages of each substep in their exact operation order, so every
-    series equals the one those public functions give, bit for bit; the tests
-    replay them.
+    plant_derivatives stages of each substep in their exact operation order:
+    it is the one copy of those written references, and every series equals
+    the one they give, bit for bit. The tests compose the same loop from the
+    public functions and require run to equal it.
 
     Each step writes x, xd, v, PL, u, uhat and e, plus dhat when adapting
     and Ps when the supply varies. After the loop, t = k*dt_control,
@@ -293,8 +287,10 @@ def run(
     n_rules = len(centers)
     c_first, c_last = centers[0], centers[-1]
     theta = list(est.d_hat)
-    # true plant: the constants of plant_rhs and the RK4 weights of rk4_step
-    cdw, rho, Ap, Bp, K, Mt, g, Ctp = rhs_constants(plant)
+    # true plant: each product below is the one plant_derivatives forms
+    # first, and the RK4 weights of rk4_step
+    cdw, g = plant.Cd * plant.w, 4.0 * plant.beta_e / plant.Vt
+    rho, Ap, Bp, K, Mt, Ctp = plant.rho, plant.Ap, plant.Bp, plant.K, plant.Mt, plant.Ctp
     Ps0, delta_l, delta_r, kv = plant.Ps, plant.delta_l, plant.delta_r, plant.kv
     h = 0.5 * dt_p
     w = dt_p / 6.0
@@ -375,9 +371,9 @@ def run(
         sign_prev = 1.0 if u > 0.0 else -1.0 if u < 0.0 else 0.0
 
         x_sp = kv * (u - d)  # the dead-zone decomposition: dead_zone_output(u)
-        # the spool is held over the period: its flow branch and plant_rhs's
+        # the spool is held over the period: its flow branch and load_flow's
         # first flow product cdw*x_sp are formed once. A shut spool gives
-        # cq = 0 and so q = 0, plant_rhs's QL, with no branch of its own; on
+        # cq = 0 and so q = 0, load_flow's QL, with no branch of its own; on
         # an infinite radicand q is NaN, and the substep check replays it.
         opening = x_sp > 0.0
         cq = cdw * x_sp
@@ -480,8 +476,7 @@ def _monitor_series(
     window_rms: list[float] = []
     start = i0
     while start + w_n <= n:
-        seg = e[start:start + w_n]
-        window_rms.append(float(np.sqrt(np.mean(seg * seg))))
+        window_rms.append(_rms(e[start:start + w_n]))
         start += w_n
     rms_violations = sum(
         1 for lo, hi in zip(window_rms, window_rms[1:]) if hi > params.tol * lo
@@ -515,6 +510,23 @@ def _monitor_series(
     )
 
 
+def _rms(seg: np.ndarray) -> float:
+    """Root mean square of seg, 0.0 when it is empty.
+
+    Where the squares or their sum overflow, seg is first divided by its
+    largest magnitude, so a large but finite series keeps a finite RMS.
+    """
+    if not seg.size:
+        return 0.0
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(seg * seg)))
+    if rms == math.inf:
+        scale = float(np.max(np.abs(seg)))
+        if scale < math.inf:
+            rms = scale * _rms(seg / scale)
+    return rms
+
+
 def _compute_metrics(
     xerr: np.ndarray,
     d: np.ndarray,
@@ -524,9 +536,6 @@ def _compute_metrics(
     n = len(xerr)
     q = n // 4
     i0 = int(round(transient_fraction * n))
-
-    def _rms(seg: np.ndarray) -> float:
-        return float(np.sqrt(np.mean(seg * seg))) if seg.size else 0.0
 
     dz_err = np.abs(dhat - d)
     post = xerr[i0:]

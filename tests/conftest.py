@@ -20,7 +20,7 @@ def nominal_controller(nominal_plant):
 
 @pytest.fixture(scope="session")
 def zero_estimator():
-    return FuzzyEstimator.zeros()
+    return FuzzyEstimator()
 
 
 @pytest.fixture(scope="session")

@@ -1,49 +1,16 @@
 """The Lyapunov function of the control law, evaluated on a recorded run.
 
 The stability argument bounds V = e^2/(2b) + |theta - theta*|^2/(2 phi), where
-theta is the consequent vector of the fuzzy estimator and theta* an ideal one.
-A SimResult records d_hat but not theta, so theta is rebuilt by replaying the
-package's own membership/infer/adapt over the recorded uhat and e columns.
+b is the input gain, theta the consequent vector of the fuzzy estimator and
+theta* an ideal one. A SimResult records neither b nor theta, so both come
+from the reference loop of the run (tests/reference.py), which the caller
+holds run to bit for bit.
 """
 
 import numpy as np
 
-from ehservo import (
-    ControllerParams,
-    FuzzyEstimator,
-    PlantParams,
-    PlantState,
-    SimResult,
-    acceleration,
-    adapt,
-    infer,
-    input_gain_b,
-    membership,
-    sgn,
-)
-
-
-def replay_consequents(result: SimResult, est: FuzzyEstimator, phi: float) -> np.ndarray:
-    """Consequent vector in force at each control sample, one row per sample.
-
-    est is the estimator the run started from. Raises AssertionError, naming
-    the first sample, unless the replayed d_hat equals the recorded one bit
-    for bit at every sample.
-    """
-    theta = np.empty((len(result.t), len(est.centers)))
-    mismatches = []
-    rows = zip(result.uhat.tolist(), result.e.tolist(), result.dhat.tolist())
-    for k, (u_hat, e, d_hat) in enumerate(rows):
-        theta[k] = est.d_hat
-        psi = membership(u_hat, est.centers)
-        if infer(est, psi) != d_hat:
-            mismatches.append(k)
-        est = adapt(est, e, psi, phi, result.dt_control)
-    assert not mismatches, (
-        f"replayed d_hat differs from the recorded one at {len(mismatches)} samples, "
-        f"first at t={result.t[mismatches[0]]:.6g} s"
-    )
-    return theta
+from ehservo import PlantParams
+from reference import Reference
 
 
 def ideal_consequents(centers, plant: PlantParams) -> np.ndarray:
@@ -57,18 +24,10 @@ def ideal_consequents(centers, plant: PlantParams) -> np.ndarray:
                      for c in centers])
 
 
-def lyapunov_series(result: SimResult, plant: PlantParams, cp: ControllerParams,
-                    est: FuzzyEstimator) -> np.ndarray:
-    """V at each control sample of a run that started from estimator est.
-
-    b is the input gain as the controller computed it: at the recorded state,
-    with the sign of the previous sample's voltage.
-    """
-    gap = replay_consequents(result, est, cp.phi) - ideal_consequents(est.centers, plant)
-    signs = [0.0] + [sgn(u) for u in result.u[:-1].tolist()]
-    b = np.array([
-        input_gain_b(x, v, acceleration(PlantState(x, v, PL), plant), sign_prev, cp.model)
-        for x, v, PL, sign_prev in zip(result.x.tolist(), result.v.tolist(),
-                                       result.PL.tolist(), signs)
-    ])
-    return result.e * result.e / (2.0 * b) + np.sum(gap * gap, axis=1) / (2.0 * cp.phi)
+def lyapunov_series(reference: Reference, centers, plant: PlantParams,
+                    phi: float) -> np.ndarray:
+    """V at each control sample of a run replayed by reference, whose
+    estimator ran on the membership grid centers."""
+    gap = reference.theta - ideal_consequents(centers, plant)
+    e = reference.series["e"]
+    return e * e / (2.0 * reference.b) + np.sum(gap * gap, axis=1) / (2.0 * phi)

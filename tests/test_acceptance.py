@@ -61,7 +61,7 @@ def test_dead_zone_identity_suite():
 def test_fuzzy_oracle_equivalence():
     """Vector-form inference matches the independently coded ratio form; the
     membership basis is a partition of unity."""
-    centers = FuzzyEstimator.zeros().centers
+    centers = FuzzyEstimator().centers
     rng = np.random.default_rng(99)
     worst_rel = 0.0
     for _ in range(10_000):

@@ -33,7 +33,7 @@ def _short_run(**scenario_kwargs):
     plant = PlantParams()
     cp = ControllerParams(model=plant)
     sc = Scenario(**{"duration": 2.0, **scenario_kwargs})
-    return run(sc, plant, cp, FuzzyEstimator.zeros())
+    return run(sc, plant, cp, FuzzyEstimator())
 
 
 class TestConfigResolution:

@@ -50,17 +50,17 @@ def ratio_form(u_hat, centers, d_hat):
 
 class TestEstimatorValidation:
     def test_default_grid(self):
-        est = FuzzyEstimator.zeros()
+        est = FuzzyEstimator()
         assert est.centers == C
         assert est.d_hat == (0.0,) * 7
 
     def test_too_few_centers(self):
         with pytest.raises(ValueError, match="at least 2"):
-            FuzzyEstimator.zeros([0.0])
+            FuzzyEstimator([0.0])
 
     def test_non_increasing_centers(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            FuzzyEstimator.zeros([0.0, 0.0, 1.0])
+            FuzzyEstimator([0.0, 0.0, 1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -105,7 +105,7 @@ class TestMembership:
 
 class TestInfer:
     def test_zero_consequents(self):
-        est = FuzzyEstimator.zeros()
+        est = FuzzyEstimator()
         for u in np.linspace(-1, 1, 101):
             assert infer(est, membership(u, C)) == 0.0
 
@@ -158,7 +158,7 @@ class TestAdapt:
 
     def test_single_step_hand_value(self):
         # active entry moves by -phi*e*dt = -0.5*1*0.0025
-        est = FuzzyEstimator.zeros()
+        est = FuzzyEstimator()
         psi = membership(0.0, C)
         out = adapt(est, 1.0, psi, 0.5, 0.0025)
         assert out.d_hat[3] == -0.00125
@@ -182,7 +182,7 @@ class TestAdapt:
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
     def test_requires_positive_rate_and_period(self):
-        est = FuzzyEstimator.zeros()
+        est = FuzzyEstimator()
         psi = membership(0.0, C)
         with pytest.raises(ValueError):
             adapt(est, 1.0, psi, 0.0, 0.0025)

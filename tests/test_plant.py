@@ -132,24 +132,14 @@ class TestDerivatives:
         _, _, dpl = plant_derivatives(PlantState(0.0, 0.0, 1e5), 0.0, params)
         assert dpl == pytest.approx(-9333333.333333333, rel=1e-12)
 
-    def test_flow_term_is_load_flow(self, params):
-        # plant_rhs inlines the orifice law; load_flow is its reference
-        rng = np.random.default_rng(5)
-        # near +/-Ps the pressure drop hits the EPS_CAV floor
-        edge = [params.Ps, params.Ps - 10.0, -params.Ps, 0.0]
-        for k in range(2000):
-            PL = edge[k] if k < len(edge) else rng.uniform(-1.0, 1.0) * params.Ps
-            s = PlantState(rng.normal(), rng.normal(), PL)
-            u = rng.choice([-3.0, 3.0]) if k < len(edge) else rng.uniform(-4.0, 4.0)
-            QL = load_flow(dead_zone_output(u, params), s.PL, params)
-            expected = 4.0 * params.beta_e / params.Vt * (QL - params.Ap * s.v - params.Ctp * s.PL)
-            assert plant_derivatives(s, u, params)[2] == expected
-
     def test_blow_up_on_non_finite_state(self, params):
         with pytest.raises(BlowUpError):
             plant_derivatives(PlantState(math.nan, 0.0, 0.0), 0.0, params)
         with pytest.raises(BlowUpError):
             plant_derivatives(PlantState(0.0, math.inf, 0.0), 0.0, params)
+        # a NaN voltage reaches no orifice law: it is a non-finite spool
+        with pytest.raises(BlowUpError, match="spool"):
+            plant_derivatives(PlantState(), math.nan, params)
 
 
 class TestAcceleration:
@@ -159,13 +149,6 @@ class TestAcceleration:
     def test_pressure_drive(self, params):
         # Ap*PL/Mt = 3e-4 * 1e6 / 250
         assert acceleration(PlantState(0.0, 0.0, 1e6), params) == pytest.approx(1.2, rel=1e-12)
-
-    def test_matches_velocity_derivative(self, params):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            s = PlantState(rng.normal(), rng.normal(), rng.uniform(-7e6, 7e6))
-            _, dv, _ = plant_derivatives(s, rng.uniform(-3, 3), params)
-            assert acceleration(s, params) == dv
 
 
 def test_sgn_convention():

@@ -8,7 +8,6 @@ stays deterministic and quick.
 
 import math
 import struct
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -16,31 +15,20 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, matrix_balance
 
 from ehservo import (
-    BlowUpError,
     ControllerParams,
     FuzzyEstimator,
     PlantParams,
     PlantState,
     Scenario,
-    acceleration,
     adapt,
-    combined_error,
-    control_law,
     dead_zone_d,
     dead_zone_output,
-    equivalent_control,
-    infer,
-    input_gain_b,
     membership,
-    model_coefficients,
-    reference_at,
     rk4_step,
-    run,
-    sgn,
-    supply_pressure,
 )
 from ehservo.cli import config_dump, parse_kv, resolve_config
-from ehservo.sim import SERIES, SUPPLY_MODES
+from ehservo.sim import SUPPLY_MODES
+from reference import assert_run_replays
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
@@ -149,61 +137,6 @@ def test_rk4_step_of_a_linear_plant(exponents, h_rho, x, v, PL):
     assert err <= (0.1 * h_rho**5 + 1e-13) * np.abs(s0 / scale).max()
 
 
-def _reference_rows(sc, plant, cp, est):
-    """The closed loop of run composed from the public layer functions, one
-    call per layer and step, as a (len(SERIES), n_steps) array. Raises
-    BlowUpError where run does, with run's message and time."""
-    a = model_coefficients(cp.model)
-    rows = []
-    s = sc.initial_state
-    ps = supply_pressure(sc.supply_pressure_mode, s.x, plant.Ps)
-    sign_prev = 0.0
-    for k in range(sc.n_steps):
-        t = k * sc.dt_control
-        x_ddot = acceleration(s, plant)
-        ref = reference_at(t, sc.amplitude, sc.omega)
-        xerr = s.x - ref.xd
-        e = combined_error(xerr, s.v - ref.xd_dot, x_ddot - ref.xd_ddot, cp)
-        b = input_gain_b(s.x, s.v, x_ddot, sign_prev, cp.model)
-        u_hat = equivalent_control(s.x, s.v, x_ddot, ref, a, b, cp)
-        if not math.isfinite(u_hat):
-            raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
-        if sc.freeze_adaptation:
-            d_hat = 0.0
-        else:
-            psi = membership(u_hat, est.centers)
-            d_hat = infer(est, psi)
-        u = control_law(u_hat, d_hat, e, cp)
-        if not math.isfinite(u):
-            raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
-        rows.append((t, s.x, ref.xd, xerr, s.v, s.PL, u, u_hat, dead_zone_d(u, plant),
-                     d_hat, e, ps))
-        if not sc.freeze_adaptation:
-            est = adapt(est, e, psi, cp.phi, sc.dt_control)
-        sign_prev = sgn(u)
-        try:
-            for _ in range(sc.substeps):
-                s = rk4_step(s, u, sc.dt_plant, replace(plant, Ps=ps))
-                ps = supply_pressure(sc.supply_pressure_mode, s.x, plant.Ps)
-        except BlowUpError as err:
-            raise BlowUpError(
-                f"{err} (control period starting at t={t:.6g} s)", time=t
-            ) from None
-    return np.array(rows).T
-
-
-def _outcome(loop, *args):
-    try:
-        return loop(*args), None
-    except BlowUpError as err:
-        return None, (str(err), err.time)
-
-
-def _kernel_rows(sc, plant, cp, est):
-    res = run(sc, plant, cp, est)
-    return np.array([getattr(res, name) for name in SERIES])
-
-
 # PlantParams fields scaled by 10**k: the pressure dynamics (Ps, kv, beta_e,
 # Vt) reach the clamp and the EPS_CAV floor; the load sets how fast x moves
 PLANT_FIELDS = ("Ps", "kv", "beta_e", "Vt", "Mt", "Ap", "Bp", "K", "Ctp")
@@ -216,8 +149,9 @@ PLANT_FIELDS = ("Ps", "kv", "beta_e", "Vt", "Mt", "Ap", "Bp", "K", "Ctp")
     st.floats(-0.5, 0.5), st.floats(-1.0, 1.0), st.floats(-1.5, 1.5), st.floats(0.1, 20.0),
 )
 def test_run_equals_its_layer_functions(exponents, mode, frozen, x, v, PL_ratio, omega):
-    # run's fused kernel against the loop of public functions it inlines: the
-    # same rows bit for bit, or the same BlowUpError message at the same time.
+    # run's fused kernel against the reference loop of the public functions
+    # it inlines: the same rows bit for bit, or the same BlowUpError message
+    # at the same time.
     # The initial load pressure reaches past the supply pressure, so the
     # first substeps hit the clamp, and with the spool opening toward it the
     # orifice drop falls to the floor.
@@ -230,13 +164,7 @@ def test_run_equals_its_layer_functions(exponents, mode, frozen, x, v, PL_ratio,
         duration=0.25, omega=omega, supply_pressure_mode=mode, freeze_adaptation=frozen,
         initial_state=PlantState(x, v, PL_ratio * plant.Ps),
     )
-    est = FuzzyEstimator.zeros()
-    kernel, kernel_err = _outcome(_kernel_rows, sc, plant, cp, est)
-    reference, reference_err = _outcome(_reference_rows, sc, plant, cp, est)
-    assert kernel_err == reference_err
-    if kernel_err is None:
-        for name, got, want in zip(SERIES, kernel, reference):
-            assert got.tobytes() == want.tobytes(), f"{name} differs"
+    assert_run_replays(sc, plant, cp, FuzzyEstimator())
 
 
 @PROPERTY

@@ -1,6 +1,8 @@
 """README.md runs and reads as the code does: its python example runs as written,
-and its config table names exactly the config schema's keys."""
+its config table names exactly the config schema's keys, and every module
+attribute it names exists."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -34,3 +36,14 @@ def test_config_table_names_every_schema_key():
     assert "model_*" in keys
     model_twins = {key for key in KNOWN_KEYS if key.startswith("model_")}
     assert keys - {"model_*"} == set(KNOWN_KEYS) - model_twins
+
+
+def test_named_module_attributes_exist():
+    # a backticked `plant.x`, `sim.x`, `fuzzy.x`, `controller.x` or `cli.x`
+    # must name an attribute of that ehservo module, so a deleted name cannot
+    # stay in the docs
+    names = re.findall(r"`(plant|sim|fuzzy|controller|cli)\.(\w+)", README.read_text())
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(f"ehservo.{module}"), name)]
+    assert not missing, f"README names attributes that do not exist: {missing}"

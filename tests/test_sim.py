@@ -20,25 +20,21 @@ from ehservo import (
     Scenario,
     SimMetrics,
     SimResult,
-    acceleration,
-    combined_error,
-    control_law,
     dead_zone_d,
     dead_zone_output,
-    equivalent_control,
     input_gain_b,
     model_coefficients,
+    plant_derivatives,
     reference_at,
     rk4_step,
     run,
-    sgn,
     stability_monitor,
     supply_pressure,
 )
 from ehservo import sim
-from ehservo.plant import plant_rhs
 from ehservo.sim import SERIES, SUPPLY_MODES, MonitorReport
-from lyapunov import lyapunov_series, replay_consequents
+from lyapunov import lyapunov_series
+from reference import assert_run_replays, reference_run
 
 # a dead band that holds every finite voltage: the spool never opens
 SHUT_SPOOL = replace(
@@ -183,7 +179,7 @@ class TestRunMechanics:
         plant = PlantParams()
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=2.0, amplitude=0.0)
-        res = run(sc, plant, cp, FuzzyEstimator.zeros())
+        res = run(sc, plant, cp, FuzzyEstimator())
         assert np.all(res.x == 0.0)
         assert np.all(res.u == 0.0)
         assert np.all(res.uhat == 0.0)
@@ -193,50 +189,41 @@ class TestRunMechanics:
     def test_rows_uniformly_spaced(self):
         plant = PlantParams()
         cp = ControllerParams(model=plant)
-        res = run(Scenario(duration=1.0), plant, cp, FuzzyEstimator.zeros())
+        res = run(Scenario(duration=1.0), plant, cp, FuzzyEstimator())
         assert len(res.t) == 400
         assert np.allclose(np.diff(res.t), 0.0025, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("mode", SUPPLY_MODES)
     def test_zero_order_hold_replay(self, mode):
-        # every recorded row plus its held voltage reproduces the next row's
-        # state exactly: the plant sees one constant u per control period,
-        # and each substep the supply pressure at the state it starts from
+        # the plant sees one constant u over the five substeps of each control
+        # period, and each substep the supply pressure at the state it starts
+        # from: run equals the reference loop of rk4_step under that hold
         plant = PlantParams()
         cp = ControllerParams(model=plant)
-        sc = Scenario(duration=5.0, supply_pressure_mode=mode)
-        res = run(sc, plant, cp, FuzzyEstimator.zeros())
-        states = np.column_stack([res.x, res.v, res.PL])
-        replayed = []
-        for (x, v, PL), u in zip(states[:-1].tolist(), res.u.tolist()):
-            s = PlantState(x, v, PL)
-            for _ in range(sc.substeps):
-                p_now = replace(plant, Ps=supply_pressure(mode, s.x, plant.Ps))
-                s = rk4_step(s, u, sc.dt_plant, p_now)
-            replayed.append((s.x, s.v, s.PL))
-        differ = np.flatnonzero(np.any(np.array(replayed) != states[1:], axis=1))
-        assert differ.size == 0, f"{differ.size} rows differ, first {differ[0] + 1}"
+        sc = Scenario(duration=5.0, dt_plant=1 / 2000, supply_pressure_mode=mode)
+        assert sc.substeps == 5
+        assert_run_replays(sc, plant, cp, FuzzyEstimator())
 
     def test_deterministic_series(self):
         plant = PlantParams()
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=10.0)
-        r1 = run(sc, plant, cp, FuzzyEstimator.zeros())
-        r2 = run(sc, plant, cp, FuzzyEstimator.zeros())
+        r1 = run(sc, plant, cp, FuzzyEstimator())
+        r2 = run(sc, plant, cp, FuzzyEstimator())
         for name in ("t", "x", "xd", "xerr", "v", "PL", "u", "uhat", "d", "dhat", "e", "Ps"):
             assert np.array_equal(getattr(r1, name), getattr(r2, name))
 
     def test_frozen_adaptation_forces_zero_estimate(self):
         plant = PlantParams()
         cp = ControllerParams(model=plant)
-        res = run(Scenario(duration=5.0, freeze_adaptation=True), plant, cp, FuzzyEstimator.zeros())
+        res = run(Scenario(duration=5.0, freeze_adaptation=True), plant, cp, FuzzyEstimator())
         assert np.all(res.dhat == 0.0)
 
     def test_varying_mode_moves_supply(self):
         plant = PlantParams()
         cp = ControllerParams(model=plant)
         res = run(Scenario(duration=40.0, supply_pressure_mode="varying"), plant, cp,
-                  FuzzyEstimator.zeros())
+                  FuzzyEstimator())
         assert res.Ps.min() < 7e6 < res.Ps.max()
         assert np.all(res.Ps <= 8.4e6) and np.all(res.Ps >= 5.6e6)
 
@@ -245,7 +232,7 @@ class TestRunMechanics:
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=2.0, initial_state=PlantState(1e306, 0.0, 0.0))
         with pytest.raises(BlowUpError) as err:
-            run(sc, plant, cp, FuzzyEstimator.zeros())
+            run(sc, plant, cp, FuzzyEstimator())
         assert err.value.time is not None
 
     def test_blow_up_inside_substeps_carries_period_start(self):
@@ -255,7 +242,7 @@ class TestRunMechanics:
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=2.0, initial_state=PlantState(0.0, 1e150, 0.0))
         with pytest.raises(BlowUpError) as err:
-            run(sc, plant, cp, FuzzyEstimator.zeros())
+            run(sc, plant, cp, FuzzyEstimator())
         assert type(err.value) is BlowUpError
         assert err.value.time == 0.005
         message = str(err.value)
@@ -277,47 +264,33 @@ class TestRunMechanics:
     ], ids=["stage2", "stage3", "stage4", "combine", "shut-stage2", "shut-stage2-nan"])
     def test_blow_up_names_the_first_non_finite_stage(self, state, plant, stage, monkeypatch):
         # run checks once per substep; its message and time must still be
-        # those of rk4_step, which checks every stage
+        # those of the reference loop, whose rk4_step checks every stage
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=1.0, initial_state=state)
-        # the first control period from the public functions; the zero
-        # estimator infers d_hat = 0
-        x_ddot = acceleration(state, plant)
-        ref = reference_at(0.0, sc.amplitude, sc.omega)
-        e = combined_error(state.x - ref.xd, state.v - ref.xd_dot, x_ddot - ref.xd_ddot, cp)
-        b = input_gain_b(state.x, state.v, x_ddot, 0.0, cp.model)
-        u_hat = equivalent_control(
-            state.x, state.v, x_ddot, ref, model_coefficients(cp.model), b, cp
-        )
-        u = control_law(u_hat, 0.0, e, cp)
-        assert (dead_zone_output(u, plant) == 0.0) == (plant is SHUT_SPOOL)
-        stages = []
+        voltages = []  # the held voltage, once per stage called
         with monkeypatch.context() as m:
-            m.setattr(sim, "plant_rhs", lambda *args: stages.append(1) or plant_rhs(*args))
+            m.setattr(sim, "plant_derivatives",
+                      lambda s, u, p: voltages.append(u) or plant_derivatives(s, u, p))
             with pytest.raises(BlowUpError) as ref_err:
-                rk4_step(state, u, sc.dt_plant, plant)
+                reference_run(sc, plant, cp, FuzzyEstimator())
+        assert (dead_zone_output(voltages[0], plant) == 0.0) == (plant is SHUT_SPOOL)
         message = str(ref_err.value)
         after_combine = message.startswith("non-finite state after RK4 step: ")
-        assert ("combine" if after_combine else len(stages)) == stage
+        assert ("combine" if after_combine else len(voltages)) == stage
+        assert message.endswith(" (control period starting at t=0 s)")
         with pytest.raises(BlowUpError) as err:
-            run(sc, plant, cp, FuzzyEstimator.zeros())
-        assert str(err.value) == f"{message} (control period starting at t=0 s)"
-        assert err.value.time == 0.0
+            run(sc, plant, cp, FuzzyEstimator())
+        assert (str(err.value), err.value.time) == (message, 0.0)
 
     def test_shut_spool_with_infinite_radicand_continues(self):
         # at rho = 1e-306 every orifice radicand drop/rho overflows while the
-        # state stays finite: a shut spool passes no flow (plant_rhs's
-        # QL = 0), and the run equals a zero-order-hold replay of rk4_step
+        # state stays finite: a shut spool passes no flow (load_flow's
+        # QL = 0), and the run equals the reference loop of rk4_step
         plant = replace(SHUT_SPOOL, rho=1e-306)
         cp = ControllerParams(model=PlantParams())
         sc = Scenario(duration=0.05, initial_state=PlantState(0.01, 0.1, 1e5))
-        res = run(sc, plant, cp, FuzzyEstimator.zeros())
-        assert not np.any(res.u - res.d)
-        s = sc.initial_state
-        for k in range(1, sc.n_steps):
-            for _ in range(sc.substeps):
-                s = rk4_step(s, float(res.u[k - 1]), sc.dt_plant, plant)
-            assert (s.x, s.v, s.PL) == (res.x[k], res.v[k], res.PL[k]), k
+        ref = assert_run_replays(sc, plant, cp, FuzzyEstimator())
+        assert not np.any(ref.series["u"] - ref.series["d"])
 
     def test_sum_only_overflow_continues(self, monkeypatch):
         # a state next to the largest float, whose unclamped x + v + PL
@@ -330,12 +303,9 @@ class TestRunMechanics:
                       initial_state=PlantState(sys.float_info.max, 0.0, 0.0))
         replays = []
         monkeypatch.setattr(sim, "rk4_step", lambda *args: replays.append(1) or rk4_step(*args))
-        res = run(sc, plant, cp, FuzzyEstimator.zeros())
+        res = run(sc, plant, cp, FuzzyEstimator())
         assert len(replays) == sc.n_steps * sc.substeps
-        s = PlantState(float(res.x[0]), float(res.v[0]), float(res.PL[0]))
-        for _ in range(sc.substeps):
-            s = rk4_step(s, float(res.u[0]), sc.dt_plant, plant)
-        assert (s.x, s.v, s.PL) == (res.x[1], res.v[1], res.PL[1])
+        assert_run_replays(sc, plant, cp, FuzzyEstimator(), res)
 
     def test_columns_cost_eight_bytes_a_value(self):
         # the twelve series are stored unboxed, 96 bytes a row, and handed to
@@ -345,7 +315,7 @@ class TestRunMechanics:
         plant = PlantParams()
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=2.0)
-        est = FuzzyEstimator.zeros()
+        est = FuzzyEstimator()
         run(sc, plant, cp, est)  # imports and first-call set-up
         tracemalloc.start()
         try:
@@ -367,7 +337,7 @@ class TestRunMechanics:
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=334.0, dt_control=1 / 300, dt_plant=1 / 900,
                       freeze_adaptation=frozen)
-        res = run(sc, plant, cp, FuzzyEstimator.zeros())
+        res = run(sc, plant, cp, FuzzyEstimator())
         n = sc.n_steps
         assert n >= 100_000
         u = res.u.tolist()
@@ -383,47 +353,44 @@ class TestRunMechanics:
         if frozen:
             assert res.dhat.tobytes() == bytes(8 * n)  # +0.0 throughout
 
+    def test_large_finite_error_keeps_a_finite_rms(self, default_run):
+        # the run completes with |e| near 1e161: its squares overflow, and
+        # the RMS of the metric quarters and of the monitor windows must not
+        plant = PlantParams(beta_e=1e-3)
+        cp = ControllerParams(model=plant)
+        sc = Scenario(duration=1.0, initial_state=PlantState(0.0, 1e160, 0.0))
+        res = run(sc, plant, cp, FuzzyEstimator(), MonitorParams(window=0.1))
+        assert np.max(np.abs(res.e)) > math.sqrt(sys.float_info.max)
+        pairs = _rms_and_segments(res, MonitorParams(window=0.1))
+        assert len(pairs) == 2 + 7
+        for rms, seg in pairs:
+            assert rms == pytest.approx(math.hypot(*seg.tolist()) / math.sqrt(seg.size),
+                                        rel=1e-12)
+        # where the squares do not overflow, each RMS keeps its plain bits
+        for rms, seg in _rms_and_segments(default_run[0], MonitorParams()):
+            assert rms == float(np.sqrt(np.mean(seg * seg)))
+
     def test_pressure_stays_within_supply(self, default_run):
         result, _ = default_run
         assert np.all(np.abs(result.PL) <= result.Ps)
 
 
-def _replay_controller(res, sc, plant, cp):
-    """The controller's columns recomputed from each recorded (t, x, v, PL) by
-    the public functions, with the previous sample's voltage sign and the
-    recorded d_hat (replay_consequents pins d_hat itself)."""
-    a = model_coefficients(cp.model)
-    names = ("t", "xd", "xerr", "e", "uhat", "u", "d", "Ps")
-    out = {name: [] for name in names}
-    sign_prev = 0.0
-    rows = zip(res.x.tolist(), res.v.tolist(), res.PL.tolist(), res.dhat.tolist())
-    for k, (x, v, PL, d_hat) in enumerate(rows):
-        t = k * sc.dt_control
-        x_ddot = acceleration(PlantState(x, v, PL), plant)
-        ref = reference_at(t, sc.amplitude, sc.omega)
-        xerr = x - ref.xd
-        e = combined_error(xerr, v - ref.xd_dot, x_ddot - ref.xd_ddot, cp)
-        b = input_gain_b(x, v, x_ddot, sign_prev, cp.model)
-        u_hat = equivalent_control(x, v, x_ddot, ref, a, b, cp)
-        u = control_law(u_hat, d_hat, e, cp)
-        values = (t, ref.xd, xerr, e, u_hat, u, dead_zone_d(u, plant),
-                  supply_pressure(sc.supply_pressure_mode, x, plant.Ps))
-        for name, value in zip(names, values):
-            out[name].append(value)
-        sign_prev = sgn(u)
-    return {name: np.array(col) for name, col in out.items()}
-
-
-def _assert_controller_replays(res, sc, plant, cp):
-    replayed = _replay_controller(res, sc, plant, cp)
-    for name, column in replayed.items():
-        differ = np.flatnonzero(column != getattr(res, name))
-        assert differ.size == 0, f"{name} differs at {differ.size} samples, first {differ[0]}"
+def _rms_and_segments(res, monitor):
+    """Each RMS of res's metrics and monitor windows, with the series
+    segment it was taken over (the transient is the first quarter)."""
+    q, w = len(res.t) // 4, round(monitor.window / res.dt_control)
+    windows = [res.e[q + k * w:q + (k + 1) * w] for k in range(res.monitor.n_windows)]
+    return list(zip(
+        [res.metrics.rms_xerr_first_quarter, res.metrics.rms_xerr_final_quarter,
+         *res.monitor.window_rms],
+        [res.xerr[:q], res.xerr[-q:], *windows],
+    ))
 
 
 class TestKernelReplay:
-    """run inlines the controller and the estimator over plain floats; the
-    public functions are the reference it must equal bit for bit."""
+    """run inlines the controller, the estimator and the plant over plain
+    floats; the reference loop of the public functions (tests/reference.py)
+    is what it must equal bit for bit."""
 
     @pytest.mark.parametrize("mode, frozen", [
         ("constant", False), ("varying", False), ("constant", True),
@@ -432,15 +399,13 @@ class TestKernelReplay:
         plant = PlantParams()
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=5.0, supply_pressure_mode=mode, freeze_adaptation=frozen)
-        est = FuzzyEstimator.zeros()
-        res = run(sc, plant, cp, est)
-        _assert_controller_replays(res, sc, plant, cp)
-        if not frozen:
-            replay_consequents(res, est, cp.phi)
+        assert_run_replays(sc, plant, cp, FuzzyEstimator())
 
-    def test_consequents_on_varying_supply(self, varying_run, nominal_controller,
-                                           zero_estimator):
-        replay_consequents(varying_run, zero_estimator, nominal_controller.phi)
+    def test_consequents_on_varying_supply(self, varying_run, nominal_plant,
+                                           nominal_controller, zero_estimator):
+        sc = Scenario(supply_pressure_mode="varying")
+        assert_run_replays(sc, nominal_plant, nominal_controller, zero_estimator,
+                           varying_run)
 
     def test_non_default_grid_and_start(self):
         # a faster reference drives u_hat past both shoulders and through the
@@ -450,11 +415,9 @@ class TestKernelReplay:
         centers = (-0.3, -0.05, 0.0, 0.05, 0.3)
         est = FuzzyEstimator(centers, (-0.6, -0.2, 0.0, 0.2, 0.5))
         sc = Scenario(duration=15.0, omega=0.5)
-        res = run(sc, plant, cp, est)
-        assert np.any(res.uhat <= centers[0]) and np.any(res.uhat >= centers[-1])
-        assert np.any((res.uhat > centers[0]) & (res.uhat < centers[-1]))
-        replay_consequents(res, est, cp.phi)
-        _assert_controller_replays(res, sc, plant, cp)
+        uhat = assert_run_replays(sc, plant, cp, est).series["uhat"]
+        assert np.any(uhat <= centers[0]) and np.any(uhat >= centers[-1])
+        assert np.any((uhat > centers[0]) & (uhat < centers[-1]))
 
 
 def _synthetic_result(e, uhat=None, dhat=None, dt=0.0025):
@@ -540,7 +503,7 @@ class TestStabilityMonitor:
         # also on a grid other than the default
         plant = PlantParams()
         cp = ControllerParams(model=plant)
-        est = FuzzyEstimator.zeros((-0.5, -0.2, 0.0, 0.2, 0.5))
+        est = FuzzyEstimator((-0.5, -0.2, 0.0, 0.2, 0.5))
         sc = Scenario(duration=15.0, omega=0.5)
         res = run(sc, plant, cp, est)
         assert res.centers == est.centers
@@ -581,7 +544,8 @@ class TestClosedLoopProperties:
         result, _ = default_run
         cp = nominal_controller
         sc = Scenario()
-        V = lyapunov_series(result, nominal_plant, cp, zero_estimator)
+        ref = assert_run_replays(sc, nominal_plant, cp, zero_estimator, result)
+        V = lyapunov_series(ref, zero_estimator.centers, nominal_plant, cp.phi)
         floor = (model_coefficients(cp.model)[1] * sc.amplitude * sc.omega**2
                  * sc.dt_control / (2.0 * input_gain_b(0.0, 0.0, 0.0, 0.0, cp.model)
                                     * cp.kappa))
