@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -159,8 +160,9 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
     gains = given["controller"]
     if "lambda" in gains:
         lam = gains.pop("lambda")
-        if not lam > 0.0:
-            raise ConfigError(f"lambda must be strictly positive, got {lam}")
+        # a finite square also rules out an infinite lambda
+        if not (lam > 0.0 and math.isfinite(lam * lam)):
+            raise ConfigError(f"lambda must be strictly positive with a finite square, got {lam}")
         gains.setdefault("c0", lam * lam)
         gains.setdefault("c1", 2.0 * lam)
 

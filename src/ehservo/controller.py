@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .plant import EPS_CAV, PlantParams
+from .plant import EPS_CAV, PlantParams, check_fields
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,7 @@ class ControllerParams:
 
     def __post_init__(self):
         # p^2 + c1*p + c0 is Hurwitz iff both coefficients are positive
-        if not self.c0 > 0.0:
-            raise ValueError(f"c0 must be strictly positive (Hurwitz), got {self.c0}")
-        if not self.c1 > 0.0:
-            raise ValueError(f"c1 must be strictly positive (Hurwitz), got {self.c1}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be strictly positive, got {self.kappa}")
-        if not self.phi > 0.0:
-            raise ValueError(f"phi must be strictly positive, got {self.phi}")
+        check_fields(self, positive=("c0", "c1", "kappa", "phi"))
 
 
 class ReferencePoint(NamedTuple):

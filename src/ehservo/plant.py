@@ -13,7 +13,7 @@ the tests pin that copy to it bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 # Floor for the orifice-equation radicand [Pa]. Keeps the square root real
 # when a transient pushes |PL| up toward the supply pressure.
@@ -53,19 +53,33 @@ class PlantParams:
     kv: float = 2.0e-6       # valve gain [m/V]
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for name in ("Ps", "rho", "Cd", "w", "Ap", "beta_e", "Vt", "Mt", "kv"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
-        for name in ("Ctp", "Bp", "K"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        check_fields(
+            self,
+            positive=("Ps", "rho", "Cd", "w", "Ap", "beta_e", "Vt", "Mt", "kv"),
+            non_negative=("Ctp", "Bp", "K"),
+            finite=("delta_l", "delta_r"),
+        )
         if not self.delta_l < 0.0:
             raise ValueError(f"delta_l must be strictly negative, got {self.delta_l}")
         if not self.delta_r > 0.0:
             raise ValueError(f"delta_r must be strictly positive, got {self.delta_r}")
+
+
+def check_fields(obj, finite=(), positive=(), non_negative=()) -> None:
+    """Raise ValueError naming the first numeric field of obj that breaks its rule.
+
+    Every named field must be finite; those in positive must also be > 0, and
+    those in non_negative >= 0. The parameter dataclasses validate through it.
+    """
+    for name in (*finite, *positive, *non_negative):
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(obj, name)}")
+    for name in positive:
+        if not getattr(obj, name) > 0.0:
+            raise ValueError(f"{name} must be strictly positive, got {getattr(obj, name)}")
+    for name in non_negative:
+        if getattr(obj, name) < 0.0:
+            raise ValueError(f"{name} must be non-negative, got {getattr(obj, name)}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .controller import ControllerParams, ReferencePoint, model_coefficients
 from .fuzzy import FuzzyEstimator
-from .plant import EPS_CAV, BlowUpError, PlantParams, PlantState, plant_derivatives
+from .plant import EPS_CAV, BlowUpError, PlantParams, PlantState, check_fields, plant_derivatives
 
 SUPPLY_MODES = ("constant", "varying")
 
@@ -41,42 +41,29 @@ class Scenario:
     freeze_adaptation: bool = False
 
     def __post_init__(self):
-        for name in ("duration", "dt_plant", "dt_control", "amplitude", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.duration > 0.0:
-            raise ValueError(f"duration must be strictly positive, got {self.duration}")
-        if not self.dt_plant > 0.0:
-            raise ValueError(f"dt_plant must be strictly positive, got {self.dt_plant}")
-        if not self.dt_control > 0.0:
-            raise ValueError(f"dt_control must be strictly positive, got {self.dt_control}")
-        # the step counts round these ratios; an infinite one has no count
-        if not math.isfinite(self.dt_control / self.dt_plant):
-            raise ValueError(
-                f"dt_plant ({self.dt_plant}) is too small for dt_control "
-                f"({self.dt_control}): their ratio overflows"
-            )
-        if not math.isfinite(self.duration / self.dt_control):
-            raise ValueError(
-                f"duration ({self.duration}) spans too many control periods "
-                f"(dt_control = {self.dt_control}): their ratio overflows"
-            )
-        n = self.substeps
-        if n < 1 or abs(self.dt_control - n * self.dt_plant) > 1e-9 * self.dt_control:
+        check_fields(
+            self, positive=("duration", "dt_plant", "dt_control"), finite=("amplitude", "omega")
+        )
+        # The step counts round the two ratios, so each float ratio is tested
+        # before its rounding: an overflowing rate ratio is no integer multiple,
+        # and an overflowing duration ratio indexes no float64 column.
+        if not self.dt_control / self.dt_plant < sys.maxsize or (
+            abs(self.dt_control - self.substeps * self.dt_plant) > 1e-9 * self.dt_control
+        ):
             raise ValueError(
                 f"dt_control ({self.dt_control}) must be an integer multiple of "
                 f"dt_plant ({self.dt_plant})"
+            )
+        # run stores each series as n_steps 8-byte floats in one buffer
+        if not self.duration / self.dt_control <= sys.maxsize // 8:
+            raise ValueError(
+                f"duration ({self.duration}) spans more control periods "
+                f"(dt_control = {self.dt_control}) than a float64 column can index"
             )
         if self.n_steps < 1:
             raise ValueError(
                 f"duration ({self.duration}) must span at least one control period "
                 f"(dt_control = {self.dt_control})"
-            )
-        # run stores each series as n_steps 8-byte floats in one buffer
-        if 8 * self.n_steps > sys.maxsize:
-            raise ValueError(
-                f"duration ({self.duration}) spans more control periods "
-                f"(dt_control = {self.dt_control}) than a float64 column can index"
             )
         if self.supply_pressure_mode not in SUPPLY_MODES:
             raise ValueError(
@@ -108,12 +95,7 @@ class MonitorParams:
     e_threshold: float = 0.1        # final-window mean |e| bound
 
     def __post_init__(self):
-        if not (math.isfinite(self.window) and self.window > 0.0):
-            raise ValueError(f"window must be finite and strictly positive, got {self.window}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be finite and strictly positive, got {self.tol}")
-        if not (math.isfinite(self.e_threshold) and self.e_threshold >= 0.0):
-            raise ValueError(f"e_threshold must be finite and non-negative, got {self.e_threshold}")
+        check_fields(self, positive=("window", "tol"), non_negative=("e_threshold",))
         if not 0.0 <= self.transient_fraction < 1.0:
             raise ValueError(f"transient_fraction must lie in [0, 1), got {self.transient_fraction}")
 
@@ -471,7 +453,8 @@ def _monitor_series(
 ) -> MonitorReport:
     n = len(e)
     i0 = int(round(params.transient_fraction * n))
-    w_n = max(1, int(round(params.window / dt_control)))
+    # a window longer than the run scores zero windows, however long it is
+    w_n = max(1, int(round(min(params.window / dt_control, n + 1))))
 
     window_rms: list[float] = []
     start = i0

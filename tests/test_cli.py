@@ -2,6 +2,7 @@
 
 import hashlib
 import platform
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -11,6 +12,9 @@ from ehservo import DEFAULT_CENTERS, ControllerParams, FuzzyEstimator, PlantPara
 from ehservo.cli import (
     CSV_HEADER,
     KNOWN_KEYS,
+    _NUMBER,
+    _NUMBERS,
+    _SCHEMA,
     ConfigError,
     config_dump,
     load_config,
@@ -56,6 +60,12 @@ class TestConfigResolution:
         assert cfg.controller.c0 == 64.0 and cfg.controller.c1 == 16.0
         cfg = load_config(_write(tmp_path, "lambda = 5\n"))
         assert cfg.controller.c0 == 25.0 and cfg.controller.c1 == 10.0
+
+    # lambda = 1e200 is finite, but its square c0 is not
+    @pytest.mark.parametrize("value", ["0", "nan", "inf", "1e200"])
+    def test_bad_lambda_named(self, value):
+        with pytest.raises(ConfigError, match="^lambda"):
+            resolve_config({"lambda": value})
 
     def test_explicit_coefficients_beat_lambda(self, tmp_path):
         cfg = load_config(_write(tmp_path, "lambda = 8\nc0 = 100\n"))
@@ -177,6 +187,16 @@ class TestSchema:
         dumped = config_dump(cfg)
         assert f"{key} = " in dumped
         assert resolve_config(parse_kv(dumped)) == cfg
+
+    @pytest.mark.parametrize("key", sorted(
+        key for key, (_, _, kind) in _SCHEMA.items() if kind in (_NUMBER, _NUMBERS)
+    ))
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_number_named(self, key, value):
+        field = _SCHEMA[key][1]
+        with pytest.raises(ConfigError) as err:
+            resolve_config({key: value})
+        assert re.search(rf"\b({key}|{field})\b", str(err.value)), str(err.value)
 
     def test_every_field_reachable_from_a_key(self):
         base = resolve_config({})
@@ -374,14 +394,23 @@ class TestMain:
         assert "supply_pressure_mode = varying" in out
         assert "freeze_adaptation = true" in out
 
-    def test_bad_monitor_window_rejected_before_run(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("line, error", [
+        ("monitor_window = nan", "config error: window"),
+        ("kappa = inf", "config error: kappa"),
+    ], ids=["monitor_window", "kappa"])
+    def test_bad_value_rejected_before_run(self, line, error, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
         monkeypatch.setattr("ehservo.cli.run", no_run)
-        cfg = _write(tmp_path, "monitor_window = nan\n")
+        cfg = _write(tmp_path, line + "\n")
         assert main(["run", "--config", str(cfg)]) == 1
-        assert "config error: window" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
+
+    def test_window_too_long_to_count_runs(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "monitor_window = 1e308\n")
+        assert main(["run", "--config", str(cfg), "--duration", "1"]) == 0
+        assert "rms-window violations             : 0 of 0 pairs" in capsys.readouterr().out
 
     @pytest.mark.parametrize("form", ["out", "out_dir", "batch"])
     def test_unwritable_output_is_one_line_error(self, form, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Controller: model coefficients, input gain, combined error, control law."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,9 +36,13 @@ class TestParamsValidation:
         assert cp.c0 == 64.0 and cp.c1 == 16.0
         assert cp.kappa == 1.0 and cp.phi == 0.5
 
-    @pytest.mark.parametrize("kwargs", [dict(c0=0.0), dict(c1=-2.0), dict(kappa=0.0), dict(phi=0.0)])
+    @pytest.mark.parametrize("kwargs", [
+        dict(c0=0.0), dict(c1=-2.0), dict(kappa=0.0), dict(phi=0.0),
+        dict(c0=math.inf), dict(c1=-math.inf), dict(kappa=math.inf), dict(phi=math.inf),
+    ])
     def test_positivity(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
             ControllerParams(**kwargs)
 
     def test_hurwitz_roots(self, cp):

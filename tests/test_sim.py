@@ -498,6 +498,15 @@ class TestStabilityMonitor:
         res.centers = (-0.5, -0.2, 0.0, 0.2, 0.5)
         assert stability_monitor(res).sign_violations == 0
 
+    def test_window_too_long_to_count_scores_zero_windows(self):
+        # window / dt_control overflows an int; it scores like any window
+        # longer than the run
+        plant = PlantParams()
+        res = run(Scenario(duration=1.0), plant, ControllerParams(model=plant), FuzzyEstimator())
+        rep = stability_monitor(res, MonitorParams(window=1e308))
+        assert rep.n_windows == 0
+        assert rep == stability_monitor(res, MonitorParams(window=1000.0))
+
     def test_run_report_equals_rescoring(self):
         # every way of scoring one run with the same params gives one report,
         # also on a grid other than the default
