@@ -9,6 +9,7 @@ import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -52,7 +53,8 @@ _NUMBERS = _Kind(
 _BOOL = _Kind("a boolean", _parse_bool, lambda value: str(value).lower())
 _TEXT = _Kind("text", str, str)
 
-# config key -> PlantParams field; each key has a "model_" twin for the controller's copy
+# config key -> PlantParams field; each key but the dead-zone edges has a "model_"
+# twin for the controller's copy, which never reads the dead zone it must estimate
 _PLANT_FIELDS = {
     "ps": "Ps", "rho": "rho", "cd": "Cd", "w": "w", "ap": "Ap", "ctp": "Ctp",
     "beta_e": "beta_e", "vt": "Vt", "mt": "Mt", "bp": "Bp", "k": "K",
@@ -65,7 +67,8 @@ _PLANT_FIELDS = {
 # is no field: it only seeds c0 = lambda^2 and c1 = 2*lambda, and is never dumped.
 _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
     **{key: ("plant", field, _NUMBER) for key, field in _PLANT_FIELDS.items()},
-    **{"model_" + key: ("model", field, _NUMBER) for key, field in _PLANT_FIELDS.items()},
+    **{"model_" + key: ("model", field, _NUMBER) for key, field in _PLANT_FIELDS.items()
+       if key not in ("delta_l", "delta_r")},
     "lambda": ("controller", "lambda", _NUMBER),
     **{key: ("controller", key, _NUMBER) for key in ("c0", "c1", "kappa", "phi")},
     "centers": ("estimator", "centers", _NUMBERS),
@@ -85,6 +88,9 @@ _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
 }
 
 KNOWN_KEYS = tuple(_SCHEMA)
+
+# (target, field) -> config key, the name a rejected value is reported by
+_KEYS = {(target, field): key for key, (target, field, _) in _SCHEMA.items()}
 
 # --scenario names -> supply_pressure_mode values
 _SCENARIOS = {"constant-ps": "constant", "varying-ps": "varying"}
@@ -148,14 +154,8 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
                     f"key {key!r}: cannot parse {raw[key]!r} as {kind.name}"
                 ) from None
 
-    try:
-        plant = PlantParams(**given["plant"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    try:
-        model = replace(plant, **given["model"])
-    except ValueError as err:
-        raise ConfigError(f"controller model: {err}") from None
+    plant = _build(PlantParams, "plant", **given["plant"])
+    model = _build(partial(replace, plant), "model", **given["model"])
 
     gains = given["controller"]
     if "lambda" in gains:
@@ -166,15 +166,24 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         gains.setdefault("c0", lam * lam)
         gains.setdefault("c1", 2.0 * lam)
 
-    try:
-        controller = ControllerParams(**gains, model=model)
-        estimator = FuzzyEstimator(**given["estimator"])
-        initial_state = PlantState(**given["initial_state"])
-        scenario = Scenario(**given["scenario"], initial_state=initial_state)
-        monitor = MonitorParams(**given["monitor"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    controller = _build(ControllerParams, "controller", **gains, model=model)
+    estimator = _build(FuzzyEstimator, "estimator", **given["estimator"])
+    initial_state = PlantState(**given["initial_state"])
+    scenario = _build(Scenario, "scenario", "initial_state",
+                      **given["scenario"], initial_state=initial_state)
+    monitor = _build(MonitorParams, "monitor", **given["monitor"])
     return RunConfig(plant, controller, estimator, scenario, monitor, **given["run"])
+
+
+def _build(make: Callable[..., Any], *targets: str, **values: Any) -> Any:
+    """make(**values), a rejected value raised as a ConfigError led by its key:
+    each check leads with the field it rejects, looked up under targets in turn."""
+    try:
+        return make(**values)
+    except ValueError as err:
+        field, sep, rest = str(err).partition(" ")
+        key = next((_KEYS[t, field] for t in targets if (t, field) in _KEYS), field)
+        raise ConfigError(key + sep + rest) from None
 
 
 def _read_kv(path: str | Path) -> dict[str, str]:

@@ -4,6 +4,10 @@ Single scalar input (the equivalent control), N singleton consequents updated
 online by a gradient-style law. The membership basis is a full-overlap set of
 triangular hats with trapezoidal shoulders at both extremes, so the normalized
 firing strengths sum to one everywhere and at most two of them are nonzero.
+
+The consequent tuple theta is the estimator's whole state: FuzzyEstimator
+validates the grid and the initial consequents once, and infer and adapt read
+and return theta, as sim.run's loop carries it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ DEFAULT_CENTERS = (-0.50, -0.10, -0.05, 0.00, 0.05, 0.10, 0.50)
 
 @dataclass(frozen=True)
 class FuzzyEstimator:
-    """Membership center grid [V] plus the adaptable consequent vector [V].
+    """Membership center grid [V] plus the initial consequents d_hat [V].
 
     A single consequent seeds every rule, so the default starts at zero.
     """
@@ -70,29 +74,28 @@ def membership(u_hat: float, centers: Sequence[float]) -> tuple[float, ...]:
     return tuple(psi)
 
 
-def infer(est: FuzzyEstimator, psi: Sequence[float]) -> float:
-    """Estimated compensation voltage: consequents weighted by firing strengths."""
-    return sum(d * w for d, w in zip(est.d_hat, psi))
+def infer(theta: Sequence[float], psi: Sequence[float]) -> float:
+    """Estimated compensation voltage: the firing rules' consequents weighted by
+    their strengths. An idle rule adds nothing, even an overflowed consequent."""
+    return sum(d * w for d, w in zip(theta, psi, strict=True) if w != 0.0)
 
 
 def adapt(
-    est: FuzzyEstimator,
+    theta: Sequence[float],
     e: float,
     psi: Sequence[float],
     phi: float,
     dt: float,
-) -> FuzzyEstimator:
+) -> tuple[float, ...]:
     """One forward-Euler step of the consequent update, rate phi, period dt.
 
-    Returns a new estimator; rules that did not fire keep their consequent
-    bit-for-bit.
+    Returns the new consequent tuple; rules that did not fire keep their
+    consequent bit-for-bit.
     """
     if not phi > 0.0:
         raise ValueError(f"adaptation rate phi must be strictly positive, got {phi}")
     if not dt > 0.0:
         raise ValueError(f"update period dt must be strictly positive, got {dt}")
     step = phi * e * dt
-    if step == 0.0:
-        return est
-    d_new = tuple(d if w == 0.0 else d - step * w for d, w in zip(est.d_hat, psi))
-    return FuzzyEstimator(est.centers, d_new)
+    return tuple(d if w == 0.0 or step == 0.0 else d - step * w
+                 for d, w in zip(theta, psi, strict=True))

@@ -70,9 +70,7 @@ class Scenario:
                 f"supply_pressure_mode must be one of {SUPPLY_MODES}, "
                 f"got {self.supply_pressure_mode!r}"
             )
-        s0 = self.initial_state
-        if not (math.isfinite(s0.x) and math.isfinite(s0.v) and math.isfinite(s0.PL)):
-            raise ValueError(f"initial_state must be finite, got {s0}")
+        check_fields(self.initial_state, finite=("x", "v", "PL"))
 
     @property
     def substeps(self) -> int:

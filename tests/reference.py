@@ -56,6 +56,7 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
     mode = sc.supply_pressure_mode
     adaptive = not sc.freeze_adaptation
     rows, thetas, gains = [], [], []
+    theta = est.d_hat
     s = sc.initial_state
     ps = supply_pressure(mode, s.x, plant.Ps)
     sign_prev = 0.0
@@ -72,16 +73,16 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
         d_hat = 0.0
         if adaptive:
             psi = membership(u_hat, est.centers)
-            d_hat = infer(est, psi)
+            d_hat = infer(theta, psi)
         u = control_law(u_hat, d_hat, e, cp)
         if not math.isfinite(u):
             raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
         rows.append((t, s.x, ref.xd, xerr, s.v, s.PL, u, u_hat, dead_zone_d(u, plant),
                      d_hat, e, ps))
-        thetas.append(est.d_hat)
+        thetas.append(theta)
         gains.append(b)
         if adaptive:
-            est = adapt(est, e, psi, cp.phi, sc.dt_control)
+            theta = adapt(theta, e, psi, cp.phi, sc.dt_control)
         sign_prev = sgn(u)
         try:
             for _ in range(sc.substeps):

@@ -67,7 +67,7 @@ def test_fuzzy_oracle_equivalence():
     for _ in range(10_000):
         d_hat = tuple(rng.normal(scale=2.0, size=len(centers)))
         u_hat = rng.uniform(-1.5, 1.5)
-        got = infer(FuzzyEstimator(centers, d_hat), membership(u_hat, centers))
+        got = infer(d_hat, membership(u_hat, centers))
         want = ratio_form(u_hat, centers, d_hat)
         denom = max(abs(want), 1e-30)
         worst_rel = max(worst_rel, abs(got - want) / denom)

@@ -105,22 +105,20 @@ class TestMembership:
 
 class TestInfer:
     def test_zero_consequents(self):
-        est = FuzzyEstimator()
+        d_hat = FuzzyEstimator().d_hat
         for u in np.linspace(-1, 1, 101):
-            assert infer(est, membership(u, C)) == 0.0
+            assert infer(d_hat, membership(u, C)) == 0.0
 
     def test_constant_consequents(self):
-        est = FuzzyEstimator(C, (0.7,) * 7)
         for u in np.linspace(-1, 1, 101):
-            assert infer(est, membership(u, C)) == pytest.approx(0.7, rel=1e-12)
+            assert infer((0.7,) * 7, membership(u, C)) == pytest.approx(0.7, rel=1e-12)
 
     def test_matches_ratio_form_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(2000):
             d_hat = tuple(rng.normal(scale=2.0, size=7))
-            est = FuzzyEstimator(C, d_hat)
             u = rng.uniform(-1.5, 1.5)
-            got = infer(est, membership(u, C))
+            got = infer(d_hat, membership(u, C))
             want = ratio_form(u, C, d_hat)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -129,62 +127,75 @@ class TestInfer:
         d1 = tuple(rng.normal(size=7))
         d2 = tuple(rng.normal(size=7))
         psi = membership(0.033, C)
-        lhs = infer(FuzzyEstimator(C, tuple(a + 2.0 * b for a, b in zip(d1, d2))), psi)
-        rhs = infer(FuzzyEstimator(C, d1), psi) + 2.0 * infer(FuzzyEstimator(C, d2), psi)
+        lhs = infer(tuple(a + 2.0 * b for a, b in zip(d1, d2)), psi)
+        rhs = infer(d1, psi) + 2.0 * infer(d2, psi)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_piecewise_linear_continuous(self):
-        est = FuzzyEstimator(C, (1.0, -2.0, 0.5, 3.0, -1.0, 2.0, 0.0))
+        d_hat = (1.0, -2.0, 0.5, 3.0, -1.0, 2.0, 0.0)
         # continuity across each center
         for c in C:
-            lo = infer(est, membership(c - 1e-9, C))
-            hi = infer(est, membership(c + 1e-9, C))
-            at = infer(est, membership(c, C))
+            lo = infer(d_hat, membership(c - 1e-9, C))
+            hi = infer(d_hat, membership(c + 1e-9, C))
+            at = infer(d_hat, membership(c, C))
             assert lo == pytest.approx(at, abs=1e-7)
             assert hi == pytest.approx(at, abs=1e-7)
         # linear interpolation at segment midpoints
         for a, b in zip(C, C[1:]):
             mid = 0.5 * (a + b)
-            ya = infer(est, membership(a, C))
-            yb = infer(est, membership(b, C))
-            assert infer(est, membership(mid, C)) == pytest.approx(0.5 * (ya + yb), rel=1e-12)
+            ya = infer(d_hat, membership(a, C))
+            yb = infer(d_hat, membership(b, C))
+            assert infer(d_hat, membership(mid, C)) == pytest.approx(0.5 * (ya + yb), rel=1e-12)
+
+    def test_rules_that_do_not_fire_add_nothing(self):
+        # an overflowed consequent reaches the estimate only through its own rule
+        d_hat = (math.inf, 0.25, 0.0, 0.5, 0.0, 0.0, -math.inf)
+        assert infer(d_hat, membership(0.0, C)) == 0.5
+        assert infer(d_hat, membership(-2.0, C)) == math.inf
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            infer((0.0,) * 6, membership(0.0, C))
 
 
 class TestAdapt:
     def test_zero_error_no_change(self):
-        est = FuzzyEstimator(C, (0.1,) * 7)
+        d_hat = (0.1,) * 7
         psi = membership(0.02, C)
-        assert adapt(est, 0.0, psi, 0.5, 0.0025) is est
+        assert adapt(d_hat, 0.0, psi, 0.5, 0.0025) == d_hat
 
     def test_single_step_hand_value(self):
         # active entry moves by -phi*e*dt = -0.5*1*0.0025
-        est = FuzzyEstimator()
         psi = membership(0.0, C)
-        out = adapt(est, 1.0, psi, 0.5, 0.0025)
-        assert out.d_hat[3] == -0.00125
-        assert all(out.d_hat[i] == 0.0 for i in range(7) if i != 3)
+        out = adapt(FuzzyEstimator().d_hat, 1.0, psi, 0.5, 0.0025)
+        assert out[3] == -0.00125
+        assert all(out[i] == 0.0 for i in range(7) if i != 3)
 
     def test_inactive_entries_keep_bits(self):
         d0 = (0.123456789, -1.1, 0.9, -0.25, 0.333, 2.5, -0.75)
-        est = FuzzyEstimator(C, d0)
         psi = membership(0.075, C)  # fires indices 4 and 5 only
-        out = adapt(est, -0.8, psi, 0.5, 0.0025)
+        out = adapt(d0, -0.8, psi, 0.5, 0.0025)
         for i in (0, 1, 2, 3, 6):
-            assert out.d_hat[i] == d0[i]
-        assert out.d_hat[4] != d0[4] and out.d_hat[5] != d0[5]
+            assert out[i] == d0[i]
+        assert out[4] != d0[4] and out[5] != d0[5]
 
     def test_two_steps_equal_one_double_step(self):
-        est = FuzzyEstimator(C, (0.4,) * 7)
+        d_hat = (0.4,) * 7
         psi = membership(-0.03, C)
-        twice = adapt(adapt(est, 0.6, psi, 0.5, 0.0025), 0.6, psi, 0.5, 0.0025)
-        once = adapt(est, 0.6, psi, 0.5, 0.005)
-        for a, b in zip(twice.d_hat, once.d_hat):
+        twice = adapt(adapt(d_hat, 0.6, psi, 0.5, 0.0025), 0.6, psi, 0.5, 0.0025)
+        once = adapt(d_hat, 0.6, psi, 0.5, 0.005)
+        for a, b in zip(twice, once):
             assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
 
     def test_requires_positive_rate_and_period(self):
-        est = FuzzyEstimator()
+        d_hat = FuzzyEstimator().d_hat
         psi = membership(0.0, C)
         with pytest.raises(ValueError):
-            adapt(est, 1.0, psi, 0.0, 0.0025)
+            adapt(d_hat, 1.0, psi, 0.0, 0.0025)
         with pytest.raises(ValueError):
-            adapt(est, 1.0, psi, 0.5, 0.0)
+            adapt(d_hat, 1.0, psi, 0.5, 0.0)
+
+    @pytest.mark.parametrize("e", [1.0, 0.0])
+    def test_length_mismatch(self, e):
+        with pytest.raises(ValueError):
+            adapt((0.0,) * 6, e, membership(0.0, C), 0.5, 0.0025)

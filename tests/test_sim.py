@@ -75,8 +75,9 @@ class TestScenarioValidation:
             Scenario(supply_pressure_mode="wobbly")
 
     def test_non_finite_initial_state(self):
-        with pytest.raises(ValueError, match="initial_state"):
-            Scenario(initial_state=PlantState(math.inf, 0.0, 0.0))
+        for name in ("x", "v", "PL"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                Scenario(initial_state=PlantState(**{name: math.inf}))
 
     def test_any_integer_ratio_supported(self):
         assert Scenario(dt_plant=1 / 2000, dt_control=1 / 400).substeps == 5
