@@ -5,6 +5,10 @@ runs at an integer fraction of it under zero-order hold. Every control sample
 appends one row to the result; the finished series is scored with tracking
 metrics and a stability monitor. Runs are fully deterministic: the same
 inputs always produce bit-identical series.
+
+numpy is imported only where a finished run is wrapped and scored, so
+importing this module (and ehservo or its CLI) does not load it; the first
+run or stability_monitor call does.
 """
 
 from __future__ import annotations
@@ -14,12 +18,14 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .controller import ControllerParams, ReferencePoint, model_coefficients
 from .fuzzy import FuzzyEstimator
 from .plant import EPS_CAV, BlowUpError, PlantParams, PlantState, check_fields, plant_derivatives
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUPPLY_MODES = ("constant", "varying")
 
@@ -409,6 +415,8 @@ def run(
                 f"{err} (control period starting at t={t:.6g} s)", time=t
             ) from None
 
+    import numpy as np
+
     series = dict(zip(SERIES, (np.frombuffer(col, dtype=np.float64) for col in cols)))
     # the series the loop skipped, bit for bit in place: float(k) is exact for
     # k < 2**53, so arange(n)*dt is the loop's k*dt_c, and clip selects the
@@ -449,6 +457,8 @@ def _monitor_series(
     centers: tuple[float, ...],
     params: MonitorParams,
 ) -> MonitorReport:
+    import numpy as np
+
     n = len(e)
     i0 = int(round(params.transient_fraction * n))
     # a window longer than the run scores zero windows, however long it is
@@ -497,6 +507,8 @@ def _rms(seg: np.ndarray) -> float:
     Where the squares or their sum overflow, seg is first divided by its
     largest magnitude, so a large but finite series keeps a finite RMS.
     """
+    import numpy as np
+
     if not seg.size:
         return 0.0
     with np.errstate(over="ignore"):
@@ -514,6 +526,8 @@ def _compute_metrics(
     dhat: np.ndarray,
     transient_fraction: float,
 ) -> SimMetrics:
+    import numpy as np
+
     n = len(xerr)
     q = n // 4
     i0 = int(round(transient_fraction * n))

@@ -2,11 +2,16 @@
 
 import hashlib
 import platform
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ehservo
 from ehservo import DEFAULT_CENTERS, ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
 from ehservo.cli import (
     CSV_HEADER,
@@ -371,6 +376,47 @@ class TestMain:
         assert main(["run", "--duration", "0.5", "--batch", str(batch)]) == 0
         names = sorted(p.name for p in batch.iterdir())
         assert names == ["constant_ps.csv", "constant_ps_frozen.csv", "varying_ps.csv"]
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_out_with_batch_is_config_error(self, form, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("ehservo.cli.run", no_run)
+        # the batch names its own CSVs, so an out would be dropped unwritten
+        out = tmp_path / "missing" / "x.csv"
+        if form == "flag":
+            args = ["--out", str(out)]
+        else:
+            args = ["--config", str(_write(tmp_path, f"out = {out}\n"))]
+        batch = tmp_path / "batch"
+        assert main(["run", "--duration", "0.01", "--batch", str(batch), *args]) == 1
+        assert capsys.readouterr().err.startswith("config error: out ")
+        assert not batch.exists()
+
+    def test_config_paths_leave_numpy_unloaded(self):
+        # a fresh interpreter, which no earlier test has made import numpy
+        code = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from ehservo.cli import main, resolve_config
+            resolve_config({})
+            assert main(["run", "--print-config"]) == 0
+            assert main(["run", "--duration", "abc"]) == 1
+            assert "numpy" not in sys.modules
+            from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
+            plant = PlantParams()
+            result = run(
+                Scenario(duration=0.01), plant, ControllerParams(model=plant), FuzzyEstimator()
+            )
+            assert "numpy" in sys.modules
+            import numpy as np
+            assert isinstance(result.x, np.ndarray)
+        """)
+        src = Path(ehservo.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     # 0.001 s is shorter than one control period, so the run would have no
     # rows; 1e308 s holds more control periods than a float can count, and
