@@ -260,21 +260,6 @@ def summarize(result: SimResult, elapsed: float | None = None) -> None:
         print(f"wall-clock time                   : {elapsed:.2f} s")
 
 
-def _run_write_summarize(cfg: RunConfig, scenario: Scenario, out: str | Path | None) -> None:
-    if out:
-        # fail before the run, without creating or truncating the CSV itself
-        parent = Path(out).parent
-        if Path(out).is_dir() or not (parent.is_dir() and os.access(parent, os.W_OK)):
-            raise OSError(f"cannot write CSV to {out}: not a file in a writable directory")
-    start = time.perf_counter()
-    result = run(scenario, cfg.plant, cfg.controller, cfg.estimator, cfg.monitor)
-    elapsed = time.perf_counter() - start
-    if out:
-        write_csv(result, out)
-        print(f"wrote {out}")
-    summarize(result, elapsed)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ehservo",
@@ -305,10 +290,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         raw = _read_kv(args.config) if args.config else {}
         cfg = resolve_config({**raw, **_flag_overrides(args)})
-        if args.batch and cfg.out:
-            raise ConfigError(
-                f"out ({cfg.out!r}) cannot be set with --batch, which names its own CSVs"
-            )
+        for label, path in (("out", cfg.out), ("--batch", args.batch)):
+            if path == "":
+                raise ConfigError(f"{label} must name a path, got ''")
+        if args.batch is not None and cfg.out is not None:
+            raise ConfigError(f"out ({cfg.out!r}) cannot be set with --batch, "
+                              "which names its own CSVs")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
@@ -318,14 +305,27 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        if not args.batch:
-            _run_write_summarize(cfg, cfg.scenario, cfg.out)
-            return 0
-        directory = Path(args.batch)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, changes in _BATCH.items():
-            print(f"--- {name} ---")
-            _run_write_summarize(cfg, replace(cfg.scenario, **changes), directory / f"{name}.csv")
+        jobs = [("", cfg.scenario, cfg.out)]   # (summary header, scenario, CSV path)
+        if args.batch is not None:
+            Path(args.batch).mkdir(parents=True, exist_ok=True)
+            jobs = [(name, replace(cfg.scenario, **changes), Path(args.batch) / f"{name}.csv")
+                    for name, changes in _BATCH.items()]
+        # fail before the first run, without creating or truncating any CSV
+        for out in (Path(csv) for _, _, csv in jobs if csv is not None):
+            if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+                raise OSError(f"cannot write CSV to {out}: not a file in a writable directory")
+        # run loads numpy to wrap its series: load it off the summary's wall-clock time
+        import numpy  # noqa: F401
+        for name, scenario, out in jobs:
+            if name:
+                print(f"--- {name} ---")
+            start = time.perf_counter()
+            result = run(scenario, cfg.plant, cfg.controller, cfg.estimator, cfg.monitor)
+            elapsed = time.perf_counter() - start
+            if out is not None:
+                write_csv(result, out)
+                print(f"wrote {out}")
+            summarize(result, elapsed)
         return 0
     except BlowUpError as err:
         print(f"numerical blow-up: {err}", file=sys.stderr)

@@ -404,12 +404,20 @@ class TestMain:
             assert main(["run", "--print-config"]) == 0
             assert main(["run", "--duration", "abc"]) == 1
             assert "numpy" not in sys.modules
-            from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
+            # the run path of main loads numpy before its clock starts
+            import ehservo.cli
+            entered, run = [], ehservo.cli.run
+            def wrapped(*args, **kwargs):
+                entered.append("numpy" in sys.modules)
+                return run(*args, **kwargs)
+            ehservo.cli.run = wrapped
+            assert main(["run", "--duration", "0.01"]) == 0
+            assert entered == [True]
+            from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario
             plant = PlantParams()
             result = run(
                 Scenario(duration=0.01), plant, ControllerParams(model=plant), FuzzyEstimator()
             )
-            assert "numpy" in sys.modules
             import numpy as np
             assert isinstance(result.x, np.ndarray)
         """)
@@ -441,17 +449,22 @@ class TestMain:
         assert "supply_pressure_mode = varying" in out
         assert "freeze_adaptation = true" in out
 
-    @pytest.mark.parametrize("line, error", [
-        ("monitor_window = nan", "config error: monitor_window"),
-        ("kappa = inf", "config error: kappa"),
-    ], ids=["monitor_window", "kappa"])
-    def test_bad_value_rejected_before_run(self, line, error, tmp_path, capsys, monkeypatch):
+    # an empty out or --batch would run and write no CSV
+    @pytest.mark.parametrize("line, flags, error", [
+        ("monitor_window = nan", [], "config error: monitor_window"),
+        ("kappa = inf", [], "config error: kappa"),
+        ("out =", [], "config error: out "),
+        ("", ["--out", ""], "config error: out "),
+        ("", ["--batch", ""], "config error: --batch "),
+    ], ids=["monitor_window", "kappa", "out", "out_flag", "batch_flag"])
+    def test_bad_value_rejected_before_run(self, line, flags, error, tmp_path, capsys,
+                                           monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
         monkeypatch.setattr("ehservo.cli.run", no_run)
         cfg = _write(tmp_path, line + "\n")
-        assert main(["run", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg), *flags]) == 1
         assert error in capsys.readouterr().err
 
     def test_window_too_long_to_count_runs(self, tmp_path, capsys):
@@ -459,25 +472,30 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--duration", "1"]) == 0
         assert "rms-window violations             : 0 of 0 pairs" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("form", ["out", "out_dir", "batch"])
+    @pytest.mark.parametrize("form", ["out", "out_dir", "batch", "batch_csv"])
     def test_unwritable_output_is_one_line_error(self, form, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
         monkeypatch.setattr("ehservo.cli.run", no_run)
-        # --out into a missing directory or onto a directory; --batch onto a file
+        # --out into a missing directory or onto a directory; --batch onto a
+        # file, or with its last CSV path a directory
         if form == "out":
             args = ["--out", str(tmp_path / "missing" / "run.csv")]
         elif form == "out_dir":
             args = ["--out", str(tmp_path)]
-        else:
+        elif form == "batch":
             taken = _write(tmp_path, "", name="taken")
             args = ["--batch", str(taken)]
+        else:
+            (tmp_path / "batch" / "constant_ps_frozen.csv").mkdir(parents=True)
+            args = ["--batch", str(tmp_path / "batch")]
         assert main(["run", "--duration", "0.1", *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("output error: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+        assert not [path for path in tmp_path.rglob("*.csv") if path.is_file()]
 
     def test_out_key_in_config(self, tmp_path):
         target = tmp_path / "from_config.csv"
