@@ -172,6 +172,10 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
     scenario = _build(Scenario, "scenario", "initial_state",
                       **given["scenario"], initial_state=initial_state)
     monitor = _build(MonitorParams, "monitor", **given["monitor"])
+    out = given["run"].get("out")
+    # config_dump writes out as one "out = ..." line, which must read back the same
+    if out is not None and (out != out.strip() or "#" in out or len(out.splitlines()) != 1):
+        raise ConfigError(f"out must be one line with no '#' and no edge whitespace, got {out!r}")
     return RunConfig(plant, controller, estimator, scenario, monitor, **given["run"])
 
 
@@ -244,20 +248,31 @@ def write_csv(result: SimResult, path: str | Path) -> None:
         raise OSError(f"cannot write CSV to {path}: {err}") from err
 
 
+def _say(line: str) -> None:
+    """Print a line to standard output. Once its reader has gone, it and all
+    later output go to os.devnull, so a closed standard output stops no run."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def summarize(result: SimResult, elapsed: float | None = None) -> None:
     """Print the summary metrics of a finished run to standard output."""
     met, mon = result.metrics, result.monitor
-    print(f"rms tracking error, first quarter : {met.rms_xerr_first_quarter:.6g} m")
-    print(f"rms tracking error, final quarter : {met.rms_xerr_final_quarter:.6g} m")
-    print(f"max |tracking error| post-transient: {met.max_abs_xerr_post_transient:.6g} m")
-    print(f"mean |dhat - d|, first quarter    : {met.mean_dz_err_first_quarter:.6g} V")
-    print(f"mean |dhat - d|, final quarter    : {met.mean_dz_err_final_quarter:.6g} V")
-    print(f"rms-window violations             : {mon.rms_violations} of {max(mon.n_windows - 1, 0)} pairs")
-    print(f"final-window mean |e|             : {mon.final_window_mean_abs_e:.6g} "
-          f"(threshold {mon.e_threshold:.6g}, {'ok' if mon.final_mean_ok else 'EXCEEDED'})")
-    print(f"estimate sign violations          : {mon.sign_violations}")
+    _say(f"rms tracking error, first quarter : {met.rms_xerr_first_quarter:.6g} m")
+    _say(f"rms tracking error, final quarter : {met.rms_xerr_final_quarter:.6g} m")
+    _say(f"max |tracking error| post-transient: {met.max_abs_xerr_post_transient:.6g} m")
+    _say(f"mean |dhat - d|, first quarter    : {met.mean_dz_err_first_quarter:.6g} V")
+    _say(f"mean |dhat - d|, final quarter    : {met.mean_dz_err_final_quarter:.6g} V")
+    _say(f"rms-window violations             : {mon.rms_violations} of {max(mon.n_windows - 1, 0)} pairs")
+    _say(f"final-window mean |e|             : {mon.final_window_mean_abs_e:.6g} "
+         f"(threshold {mon.e_threshold:.6g}, {'ok' if mon.final_mean_ok else 'EXCEEDED'})")
+    _say(f"estimate sign violations          : {mon.sign_violations}")
     if elapsed is not None:
-        print(f"wall-clock time                   : {elapsed:.2f} s")
+        _say(f"wall-clock time                   : {elapsed:.2f} s")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,9 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         raw = _read_kv(args.config) if args.config else {}
         cfg = resolve_config({**raw, **_flag_overrides(args)})
-        for label, path in (("out", cfg.out), ("--batch", args.batch)):
-            if path == "":
-                raise ConfigError(f"{label} must name a path, got ''")
+        if args.batch == "":
+            raise ConfigError("--batch must name a path, got ''")
         if args.batch is not None and cfg.out is not None:
             raise ConfigError(f"out ({cfg.out!r}) cannot be set with --batch, "
                               "which names its own CSVs")
@@ -301,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.print_config:
-        print(config_dump(cfg), end="")
+        _say(config_dump(cfg).rstrip("\n"))
         return 0
 
     try:
@@ -318,13 +332,13 @@ def main(argv: list[str] | None = None) -> int:
         import numpy  # noqa: F401
         for name, scenario, out in jobs:
             if name:
-                print(f"--- {name} ---")
+                _say(f"--- {name} ---")
             start = time.perf_counter()
             result = run(scenario, cfg.plant, cfg.controller, cfg.estimator, cfg.monitor)
             elapsed = time.perf_counter() - start
             if out is not None:
                 write_csv(result, out)
-                print(f"wrote {out}")
+                _say(f"wrote {out}")
             summarize(result, elapsed)
         return 0
     except BlowUpError as err:

@@ -426,10 +426,7 @@ def run(
     np.clip(series["u"], delta_l, delta_r, out=series["d"])
     if not varying:
         series["Ps"].fill(ps)
-    report = _monitor_series(series["e"], series["uhat"], series["dhat"], dt_c, centers, monitor)
-    metrics = _compute_metrics(
-        series["xerr"], series["d"], series["dhat"], monitor.transient_fraction
-    )
+    metrics, report = _compute_metrics(series, dt_c, centers, monitor)
     return SimResult(**series, dt_control=dt_c, centers=centers, metrics=metrics, monitor=report)
 
 
@@ -442,24 +439,46 @@ def stability_monitor(result: SimResult, params: MonitorParams = MonitorParams()
     (iii) in the final window the compensation estimate has the sign of the
     active dead-zone edge whenever the equivalent control is clearly outside
     the innermost centers of the run's own membership grid. Emits counts,
-    never raises. With the same params it gives the report run made.
+    never raises. It calls run's own scorer, so the same params give run's report.
     """
-    return _monitor_series(
-        result.e, result.uhat, result.dhat, result.dt_control, result.centers, params
-    )
+    return _compute_metrics(vars(result), result.dt_control, result.centers, params)[1]
 
 
-def _monitor_series(
-    e: np.ndarray,
-    uhat: np.ndarray,
-    dhat: np.ndarray,
+def _rms(seg: np.ndarray) -> float:
+    """Root mean square of seg, 0.0 when it is empty.
+
+    Where the squares or their sum overflow, seg is first divided by its
+    largest magnitude, so a large but finite series keeps a finite RMS.
+    """
+    import numpy as np
+
+    if not seg.size:
+        return 0.0
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(seg * seg)))
+    if rms == math.inf:
+        scale = float(np.max(np.abs(seg)))
+        if scale < math.inf:
+            rms = scale * _rms(seg / scale)
+    return rms
+
+
+def _compute_metrics(
+    series: dict[str, np.ndarray],
     dt_control: float,
     centers: tuple[float, ...],
     params: MonitorParams,
-) -> MonitorReport:
+) -> tuple[SimMetrics, MonitorReport]:
+    """Score a finished run once: its SimMetrics and its MonitorReport.
+
+    series maps SERIES names to the run's columns. The transient index starts
+    both the post-transient maximum and the monitor's first window.
+    """
     import numpy as np
 
+    xerr, d, dhat, e, uhat = (series[name] for name in ("xerr", "d", "dhat", "e", "uhat"))
     n = len(e)
+    q = n // 4
     i0 = int(round(params.transient_fraction * n))
     # a window longer than the run scores zero windows, however long it is
     w_n = max(1, int(round(min(params.window / dt_control, n + 1))))
@@ -483,14 +502,22 @@ def _monitor_series(
     pos_inner = min((c for c in centers if c > 0.0), default=None)
     neg_inner = max((c for c in centers if c < 0.0), default=None)
     sign_violations = 0
-    uh = uhat[final]
-    dh = dhat[final]
+    uh, dh = uhat[final], dhat[final]
     if pos_inner is not None:
         sign_violations += int(np.sum((uh > pos_inner) & (dh <= 0.0)))
     if neg_inner is not None:
         sign_violations += int(np.sum((uh < neg_inner) & (dh >= 0.0)))
 
-    return MonitorReport(
+    dz_err = np.abs(dhat - d)
+    post = xerr[i0:]
+    metrics = SimMetrics(
+        rms_xerr_first_quarter=_rms(xerr[:q]),
+        rms_xerr_final_quarter=_rms(xerr[n - q:]),
+        max_abs_xerr_post_transient=float(np.max(np.abs(post))) if post.size else 0.0,
+        mean_dz_err_first_quarter=float(np.mean(dz_err[:q])) if q else 0.0,
+        mean_dz_err_final_quarter=float(np.mean(dz_err[n - q:])) if q else 0.0,
+    )
+    return metrics, MonitorReport(
         n_windows=len(window_rms),
         window_rms=tuple(window_rms),
         rms_violations=rms_violations,
@@ -498,46 +525,4 @@ def _monitor_series(
         e_threshold=params.e_threshold,
         final_mean_ok=final_mean <= params.e_threshold,
         sign_violations=sign_violations,
-    )
-
-
-def _rms(seg: np.ndarray) -> float:
-    """Root mean square of seg, 0.0 when it is empty.
-
-    Where the squares or their sum overflow, seg is first divided by its
-    largest magnitude, so a large but finite series keeps a finite RMS.
-    """
-    import numpy as np
-
-    if not seg.size:
-        return 0.0
-    with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean(seg * seg)))
-    if rms == math.inf:
-        scale = float(np.max(np.abs(seg)))
-        if scale < math.inf:
-            rms = scale * _rms(seg / scale)
-    return rms
-
-
-def _compute_metrics(
-    xerr: np.ndarray,
-    d: np.ndarray,
-    dhat: np.ndarray,
-    transient_fraction: float,
-) -> SimMetrics:
-    import numpy as np
-
-    n = len(xerr)
-    q = n // 4
-    i0 = int(round(transient_fraction * n))
-
-    dz_err = np.abs(dhat - d)
-    post = xerr[i0:]
-    return SimMetrics(
-        rms_xerr_first_quarter=_rms(xerr[:q]),
-        rms_xerr_final_quarter=_rms(xerr[n - q:]),
-        max_abs_xerr_post_transient=float(np.max(np.abs(post))) if post.size else 0.0,
-        mean_dz_err_first_quarter=float(np.mean(dz_err[:q])) if q else 0.0,
-        mean_dz_err_final_quarter=float(np.mean(dz_err[n - q:])) if q else 0.0,
     )

@@ -1,6 +1,7 @@
 """Config loading, CSV emission, summaries, and the command-line front end."""
 
 import hashlib
+import os
 import platform
 import subprocess
 import sys
@@ -426,6 +427,32 @@ class TestMain:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_finishes_the_batch(self, flags, tmp_path):
+        # a fresh interpreter whose standard output is a pipe with no reader:
+        # every run still writes its CSV, and the exit code and stderr are
+        # those of a clean batch
+        code = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from ehservo.cli import main
+            sys.exit(main(["run", "--duration", "0.01", "--batch", sys.argv[2]]))
+        """)
+        src = Path(ehservo.__file__).resolve().parents[1]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-I", *flags, "-c", code, str(src), str(tmp_path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["constant_ps.csv", "constant_ps_frozen.csv", "varying_ps.csv"]
+
     # 0.001 s is shorter than one control period, so the run would have no
     # rows; 1e308 s holds more control periods than a float can count, and
     # 1e300 s more than a float64 column can index
@@ -456,7 +483,11 @@ class TestMain:
         ("out =", [], "config error: out "),
         ("", ["--out", ""], "config error: out "),
         ("", ["--batch", ""], "config error: --batch "),
-    ], ids=["monitor_window", "kappa", "out", "out_flag", "batch_flag"])
+        # config_dump could not write these as one "out = ..." line
+        ("", ["--out", "run#1.csv"], "config error: out "),
+        ("", ["--out", " run.csv"], "config error: out "),
+    ], ids=["monitor_window", "kappa", "out", "out_flag", "batch_flag", "out_hash",
+            "out_edge_space"])
     def test_bad_value_rejected_before_run(self, line, flags, error, tmp_path, capsys,
                                            monkeypatch):
         def no_run(*args, **kwargs):

@@ -1,11 +1,13 @@
-"""README.md runs and reads as the code does: its python example runs as written,
-its config table names exactly the config schema's keys, and every module
-attribute it names exists."""
+"""README.md runs and reads as the code does: its python example and its
+`ehservo run` lines run as written, its config table names exactly the config
+schema's keys, and every module attribute it names exists."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
+from ehservo import cli
 from ehservo.cli import KNOWN_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -17,6 +19,19 @@ def test_library_example_runs(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_shell_examples_run(tmp_path, monkeypatch, capsys):
+    # each `ehservo run` line of the "Command line" block, shortened to 0.01 s
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("ehservo run")]
+    assert len(commands) >= 4
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main([*argv[1:], "--duration", "0.01"]) == 0, argv
+    assert capsys.readouterr().err == ""
 
 
 def _config_table_keys(text):
