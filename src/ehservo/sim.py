@@ -128,7 +128,7 @@ class SimMetrics:
     mean_dz_err_final_quarter: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SimResult:
     """Control-rate time series of one run, the estimator grid it ran on, and its scores.
 
@@ -444,22 +444,22 @@ def stability_monitor(result: SimResult, params: MonitorParams = MonitorParams()
     return _compute_metrics(vars(result), result.dt_control, result.centers, params)[1]
 
 
-def _rms(seg: np.ndarray) -> float:
-    """Root mean square of seg, 0.0 when it is empty.
+def _rms(rows: np.ndarray) -> np.ndarray:
+    """Root mean square of each row of a 2-D array, 0.0 for rows with no samples.
 
-    Where the squares or their sum overflow, seg is first divided by its
-    largest magnitude, so a large but finite series keeps a finite RMS.
+    A row whose squares or their sum overflow is first divided by its largest
+    magnitude, so a large but finite row keeps a finite RMS. A row sums as its 1-D slice does.
     """
     import numpy as np
 
-    if not seg.size:
-        return 0.0
+    if not rows.size:
+        return np.zeros(len(rows))
     with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean(seg * seg)))
-    if rms == math.inf:
-        scale = float(np.max(np.abs(seg)))
+        rms = np.sqrt(np.add.reduce(rows * rows, axis=1) / rows.shape[1])
+    for i in np.flatnonzero(rms == math.inf):
+        scale = np.max(np.abs(rows[i]))
         if scale < math.inf:
-            rms = scale * _rms(seg / scale)
+            rms[i] = scale * _rms(rows[i:i + 1] / scale)[0]
     return rms
 
 
@@ -472,7 +472,8 @@ def _compute_metrics(
     """Score a finished run once: its SimMetrics and its MonitorReport.
 
     series maps SERIES names to the run's columns. The transient index starts
-    both the post-transient maximum and the monitor's first window.
+    both the post-transient maximum and the monitor's first window. One _rms call
+    scores the monitor windows as rows of e, and one the two quarters of xerr.
     """
     import numpy as np
 
@@ -483,17 +484,14 @@ def _compute_metrics(
     # a window longer than the run scores zero windows, however long it is
     w_n = max(1, int(round(min(params.window / dt_control, n + 1))))
 
-    window_rms: list[float] = []
-    start = i0
-    while start + w_n <= n:
-        window_rms.append(_rms(e[start:start + w_n]))
-        start += w_n
+    n_windows = (n - i0) // w_n  # i0 <= n: transient_fraction < 1
+    window_rms = _rms(e[i0:i0 + n_windows * w_n].reshape(n_windows, w_n)).tolist()
     rms_violations = sum(
         1 for lo, hi in zip(window_rms, window_rms[1:]) if hi > params.tol * lo
     )
 
-    if window_rms:
-        final_start = i0 + (len(window_rms) - 1) * w_n
+    if n_windows:
+        final_start = i0 + (n_windows - 1) * w_n
         final = slice(final_start, final_start + w_n)
     else:
         final = slice(i0, n) if i0 < n else slice(0, n)
@@ -510,15 +508,16 @@ def _compute_metrics(
 
     dz_err = np.abs(dhat - d)
     post = xerr[i0:]
+    rms_first, rms_final = _rms(np.stack((xerr[:q], xerr[n - q:]))).tolist()
     metrics = SimMetrics(
-        rms_xerr_first_quarter=_rms(xerr[:q]),
-        rms_xerr_final_quarter=_rms(xerr[n - q:]),
+        rms_xerr_first_quarter=rms_first,
+        rms_xerr_final_quarter=rms_final,
         max_abs_xerr_post_transient=float(np.max(np.abs(post))) if post.size else 0.0,
         mean_dz_err_first_quarter=float(np.mean(dz_err[:q])) if q else 0.0,
         mean_dz_err_final_quarter=float(np.mean(dz_err[n - q:])) if q else 0.0,
     )
     return metrics, MonitorReport(
-        n_windows=len(window_rms),
+        n_windows=n_windows,
         window_rms=tuple(window_rms),
         rms_violations=rms_violations,
         final_window_mean_abs_e=final_mean,

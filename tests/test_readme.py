@@ -1,6 +1,6 @@
 """README.md runs and reads as the code does: its python example and its
 `ehservo run` lines run as written, its config table names exactly the config
-schema's keys, and every module attribute it names exists."""
+schema's keys and gives their defaults, and every module attribute it names exists."""
 
 import importlib
 import re
@@ -8,7 +8,7 @@ import shlex
 from pathlib import Path
 
 from ehservo import cli
-from ehservo.cli import KNOWN_KEYS
+from ehservo.cli import KNOWN_KEYS, config_dump, resolve_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,16 +34,21 @@ def test_shell_examples_run(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def _config_table_keys(text):
-    """Backticked names in the first column of README's config table."""
+def _config_table_rows(text):
+    """Each row of README's config table as its backticked key names and its
+    default cell."""
     lines = text.splitlines()
     start = lines.index("| key | meaning | default |")
-    keys = set()
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        keys |= set(re.findall(r"`([^`]+)`", line.split("|")[1]))
-    return keys
+        cells = line.split("|")
+        yield re.findall(r"`([^`]+)`", cells[1]), cells[-2].strip()
+
+
+def _config_table_keys(text):
+    """Backticked names in the first column of README's config table."""
+    return {key for keys, _ in _config_table_rows(text) for key in keys}
 
 
 def test_config_table_names_every_schema_key():
@@ -51,6 +56,36 @@ def test_config_table_names_every_schema_key():
     assert "model_*" in keys
     model_twins = {key for key in KNOWN_KEYS if key.startswith("model_")}
     assert keys - {"model_*"} == set(KNOWN_KEYS) - model_twins
+
+
+def _config_value(text):
+    """A default as a config value: a Unicode minus reads as '-', a trailing
+    unit word is dropped, 'a/b' is a fraction, 'unset' is no value, and what
+    is not a number stays text."""
+    token = text.replace("\u2212", "-").split()[0]
+    if token == "unset":
+        return None
+    num, _, den = token.partition("/")
+    try:
+        return float(num) / float(den or 1)
+    except ValueError:
+        return token
+
+
+def test_config_table_defaults_match_the_code():
+    # a row is checked where its keys are schema keys and its default cell
+    # gives one comma-separated item per key
+    dumped = dict(line.split(" = ", 1)
+                  for line in config_dump(resolve_config({})).splitlines())
+    checked = 0
+    for keys, default in _config_table_rows(README.read_text()):
+        items = default.split(",")
+        if not set(keys) <= set(KNOWN_KEYS) or len(items) != len(keys):
+            continue
+        for key, item in zip(keys, items):
+            assert _config_value(item) == _config_value(dumped.get(key, "unset")), key
+        checked += 1
+    assert checked >= 10
 
 
 def test_named_module_attributes_exist():

@@ -371,6 +371,16 @@ class TestRunMechanics:
         for rms, seg in _rms_and_segments(default_run[0], MonitorParams()):
             assert rms == float(np.sqrt(np.mean(seg * seg)))
 
+    def test_results_compare_by_identity(self):
+        # a result holds arrays, so it compares and hashes as the one object it is
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
+        sc = Scenario(duration=0.01)
+        a, b = (run(sc, plant, cp, FuzzyEstimator()) for _ in range(2))
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+
     def test_pressure_stays_within_supply(self, default_run):
         result, _ = default_run
         assert np.all(np.abs(result.PL) <= result.Ps)
@@ -498,6 +508,23 @@ class TestStabilityMonitor:
         assert stability_monitor(res).sign_violations == 4000
         res.centers = (-0.5, -0.2, 0.0, 0.2, 0.5)
         assert stability_monitor(res).sign_violations == 0
+
+    def test_overflowing_window_next_to_plain_ones(self):
+        # only the window whose squares overflow is rescaled; the others keep
+        # the bits of their plain RMS (a constant row would rescale exactly,
+        # so the plain windows carry a ripple)
+        e = 1e-3 * (1.5 + np.sin(0.01 * np.arange(48000)))
+        q, w = 12000, 4000
+        e[q + 4 * w:q + 5 * w] = 1e200
+        rep = stability_monitor(_synthetic_result(e), MonitorParams())
+        assert rep.n_windows == 9
+        for k, rms in enumerate(rep.window_rms):
+            seg = e[q + k * w:q + (k + 1) * w]
+            if k == 4:
+                assert rms == pytest.approx(math.hypot(*seg) / math.sqrt(seg.size), rel=1e-12)
+            else:
+                assert rms == float(np.sqrt(np.mean(seg * seg)))
+        assert rep.rms_violations == 1
 
     def test_window_too_long_to_count_scores_zero_windows(self):
         # window / dt_control overflows an int; it scores like any window
