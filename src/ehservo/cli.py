@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -63,14 +62,13 @@ _PLANT_FIELDS = {
 
 # The one config schema, in dump order: key -> (target, field, kind). The target
 # names the object that holds the field (see config_dump). Unset fields keep their
-# dataclass's default, and unset model_* fields copy the resolved plant. "lambda"
-# is no field: it only seeds c0 = lambda^2 and c1 = 2*lambda, and is never dumped.
+# dataclass's default, and unset model_* fields copy the resolved plant.
 _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
     **{key: ("plant", field, _NUMBER) for key, field in _PLANT_FIELDS.items()},
     **{"model_" + key: ("model", field, _NUMBER) for key, field in _PLANT_FIELDS.items()
        if key not in ("delta_l", "delta_r")},
-    "lambda": ("controller", "lambda", _NUMBER),
-    **{key: ("controller", key, _NUMBER) for key in ("c0", "c1", "kappa", "phi")},
+    "lambda": ("controller", "lam", _NUMBER),
+    **{key: ("controller", key, _NUMBER) for key in ("kappa", "phi")},
     "centers": ("estimator", "centers", _NUMBERS),
     "d_hat_init": ("estimator", "d_hat", _NUMBERS),
     **{key: ("scenario", key, _NUMBER)
@@ -81,9 +79,6 @@ _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
     "pl0": ("initial_state", "PL", _NUMBER),
     "freeze_adaptation": ("scenario", "freeze_adaptation", _BOOL),
     "monitor_window": ("monitor", "window", _NUMBER),
-    "monitor_tol": ("monitor", "tol", _NUMBER),
-    "monitor_e_threshold": ("monitor", "e_threshold", _NUMBER),
-    "transient_fraction": ("monitor", "transient_fraction", _NUMBER),
     "out": ("run", "out", _TEXT),
 }
 
@@ -95,10 +90,11 @@ _KEYS = {(target, field): key for key, (target, field, _) in _SCHEMA.items()}
 # --scenario names -> supply_pressure_mode values
 _SCENARIOS = {"constant-ps": "constant", "varying-ps": "varying"}
 
-# --batch: output name -> scenario fields changed from the resolved config
+# --batch: output name -> scenario fields changed from the resolved config. Every
+# job sets the same fields; none of them, and no out, may be given with --batch.
 _BATCH = {
-    "constant_ps": {"supply_pressure_mode": "constant"},
-    "varying_ps": {"supply_pressure_mode": "varying"},
+    "constant_ps": {"supply_pressure_mode": "constant", "freeze_adaptation": False},
+    "varying_ps": {"supply_pressure_mode": "varying", "freeze_adaptation": False},
     "constant_ps_frozen": {"supply_pressure_mode": "constant", "freeze_adaptation": True},
 }
 
@@ -156,17 +152,7 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
 
     plant = _build(PlantParams, "plant", **given["plant"])
     model = _build(partial(replace, plant), "model", **given["model"])
-
-    gains = given["controller"]
-    if "lambda" in gains:
-        lam = gains.pop("lambda")
-        # a finite square also rules out an infinite lambda
-        if not (lam > 0.0 and math.isfinite(lam * lam)):
-            raise ConfigError(f"lambda must be strictly positive with a finite square, got {lam}")
-        gains.setdefault("c0", lam * lam)
-        gains.setdefault("c1", 2.0 * lam)
-
-    controller = _build(ControllerParams, "controller", **gains, model=model)
+    controller = _build(ControllerParams, "controller", **given["controller"], model=model)
     estimator = _build(FuzzyEstimator, "estimator", **given["estimator"])
     initial_state = PlantState(**given["initial_state"])
     scenario = _build(Scenario, "scenario", "initial_state",
@@ -192,8 +178,9 @@ def _build(make: Callable[..., Any], *targets: str, **values: Any) -> Any:
 
 def _read_kv(path: str | Path) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        # the same bytes read the same under every locale, and a BOM is skipped
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     return parse_kv(text)
 
@@ -206,8 +193,8 @@ def load_config(path: str | Path) -> RunConfig:
 def config_dump(cfg: RunConfig) -> str:
     """Flat key=value dump of a resolved config; reloading it resolves to the same config.
 
-    Every key is written except lambda, an unset out, and the model_* keys
-    that only repeat the plant's value.
+    Every key is written except an unset out and the model_* keys that only
+    repeat the plant's value.
     """
     targets = {
         "plant": cfg.plant, "model": cfg.controller.model, "controller": cfg.controller,
@@ -216,7 +203,7 @@ def config_dump(cfg: RunConfig) -> str:
     }
     lines = []
     for key, (target, field, kind) in _SCHEMA.items():
-        value = getattr(targets[target], field, None)
+        value = getattr(targets[target], field)
         if value is None or (target == "model" and value == getattr(cfg.plant, field)):
             continue
         lines.append(f"{key} = {kind.show(value)}")
@@ -303,13 +290,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        raw = _read_kv(args.config) if args.config else {}
-        cfg = resolve_config({**raw, **_flag_overrides(args)})
+        raw = {**(_read_kv(args.config) if args.config else {}), **_flag_overrides(args)}
+        cfg = resolve_config(raw)
         if args.batch == "":
             raise ConfigError("--batch must name a path, got ''")
-        if args.batch is not None and cfg.out is not None:
-            raise ConfigError(f"out ({cfg.out!r}) cannot be set with --batch, "
-                              "which names its own CSVs")
+        if args.batch is not None:
+            # each batch job sets these itself, so a given value would be dropped
+            for key in ("out", *_BATCH["constant_ps"]):
+                if key in raw:
+                    raise ConfigError(f"{key} ({raw[key]!r}) cannot be set with --batch, "
+                                      "which sets it for each of its runs")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

@@ -23,15 +23,26 @@ class ControllerParams:
     a nominal supply pressure while the simulated one varies.
     """
 
-    c0: float = 64.0      # error-polynomial coefficient [1/s^2]
-    c1: float = 16.0      # error-polynomial coefficient [1/s]
+    lam: float = 8.0      # p^2 + c1*p + c0 = (p + lam)^2, a double root [1/s]
     kappa: float = 1.0    # error feedback gain
     phi: float = 0.5      # adaptation rate
     model: PlantParams = field(default_factory=PlantParams)
 
     def __post_init__(self):
-        # p^2 + c1*p + c0 is Hurwitz iff both coefficients are positive
-        check_fields(self, positive=("c0", "c1", "kappa", "phi"))
+        check_fields(self, positive=("lam", "kappa", "phi"))
+        # with lam > 0, the polynomial is Hurwitz iff c0 > 0; a finite c0 keeps c1 finite
+        if not 0.0 < self.c0 < math.inf:
+            raise ValueError(f"lam must have a positive, finite square, got {self.lam}")
+
+    @property
+    def c0(self) -> float:
+        """Error-polynomial coefficient lam^2 [1/s^2]."""
+        return self.lam * self.lam
+
+    @property
+    def c1(self) -> float:
+        """Error-polynomial coefficient 2*lam [1/s]."""
+        return 2.0 * self.lam
 
 
 class ReferencePoint(NamedTuple):

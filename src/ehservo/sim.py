@@ -32,6 +32,9 @@ SUPPLY_MODES = ("constant", "varying")
 # control-rate series of a SimResult, in CSV column order
 SERIES = ("t", "x", "xd", "xerr", "v", "PL", "u", "uhat", "d", "dhat", "e", "Ps")
 
+MONITOR_TOL = 1.05              # stability monitor: allowed window-to-window RMS growth
+MONITOR_E_THRESHOLD = 0.1       # stability monitor: final-window mean |e| bound
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -91,17 +94,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class MonitorParams:
-    """Knobs of the stability monitor and of the metric windows."""
+    """The stability monitor's RMS window; its transient is the run's first quarter."""
 
     window: float = 10.0            # RMS window length [s]
-    tol: float = 1.05               # allowed window-to-window RMS growth factor
-    transient_fraction: float = 0.25
-    e_threshold: float = 0.1        # final-window mean |e| bound
 
     def __post_init__(self):
-        check_fields(self, positive=("window", "tol"), non_negative=("e_threshold",))
-        if not 0.0 <= self.transient_fraction < 1.0:
-            raise ValueError(f"transient_fraction must lie in [0, 1), got {self.transient_fraction}")
+        check_fields(self, positive=("window",))
 
 
 @dataclass(frozen=True)
@@ -433,9 +431,9 @@ def run(
 def stability_monitor(result: SimResult, params: MonitorParams = MonitorParams()) -> MonitorReport:
     """Score a completed run against the expected closed-loop behavior.
 
-    Checks, after the transient: (i) the windowed RMS of the combined error
-    does not grow from one window to the next beyond the tolerance factor,
-    (ii) the final-window mean |e| sits below the configured threshold, and
+    Checks, after the first-quarter transient: (i) the windowed RMS of the
+    combined error does not grow from one window to the next beyond MONITOR_TOL,
+    (ii) the final-window mean |e| sits at or below MONITOR_E_THRESHOLD, and
     (iii) in the final window the compensation estimate has the sign of the
     active dead-zone edge whenever the equivalent control is clearly outside
     the innermost centers of the run's own membership grid. Emits counts,
@@ -471,30 +469,30 @@ def _compute_metrics(
 ) -> tuple[SimMetrics, MonitorReport]:
     """Score a finished run once: its SimMetrics and its MonitorReport.
 
-    series maps SERIES names to the run's columns. The transient index starts
-    both the post-transient maximum and the monitor's first window. One _rms call
-    scores the monitor windows as rows of e, and one the two quarters of xerr.
+    series maps SERIES names to the run's columns. The first quarter is the
+    transient, after which the post-transient maximum and the monitor's first
+    window start. One _rms call scores the monitor windows as rows of e, and
+    one the two quarters of xerr.
     """
     import numpy as np
 
     xerr, d, dhat, e, uhat = (series[name] for name in ("xerr", "d", "dhat", "e", "uhat"))
     n = len(e)
     q = n // 4
-    i0 = int(round(params.transient_fraction * n))
     # a window longer than the run scores zero windows, however long it is
     w_n = max(1, int(round(min(params.window / dt_control, n + 1))))
 
-    n_windows = (n - i0) // w_n  # i0 <= n: transient_fraction < 1
-    window_rms = _rms(e[i0:i0 + n_windows * w_n].reshape(n_windows, w_n)).tolist()
+    n_windows = (n - q) // w_n
+    window_rms = _rms(e[q:q + n_windows * w_n].reshape(n_windows, w_n)).tolist()
     rms_violations = sum(
-        1 for lo, hi in zip(window_rms, window_rms[1:]) if hi > params.tol * lo
+        1 for lo, hi in zip(window_rms, window_rms[1:]) if hi > MONITOR_TOL * lo
     )
 
     if n_windows:
-        final_start = i0 + (n_windows - 1) * w_n
+        final_start = q + (n_windows - 1) * w_n
         final = slice(final_start, final_start + w_n)
     else:
-        final = slice(i0, n) if i0 < n else slice(0, n)
+        final = slice(q, n)
     final_mean = float(np.mean(np.abs(e[final]))) if e[final].size else 0.0
 
     pos_inner = min((c for c in centers if c > 0.0), default=None)
@@ -507,7 +505,7 @@ def _compute_metrics(
         sign_violations += int(np.sum((uh < neg_inner) & (dh >= 0.0)))
 
     dz_err = np.abs(dhat - d)
-    post = xerr[i0:]
+    post = xerr[q:]
     rms_first, rms_final = _rms(np.stack((xerr[:q], xerr[n - q:]))).tolist()
     metrics = SimMetrics(
         rms_xerr_first_quarter=rms_first,
@@ -521,7 +519,7 @@ def _compute_metrics(
         window_rms=tuple(window_rms),
         rms_violations=rms_violations,
         final_window_mean_abs_e=final_mean,
-        e_threshold=params.e_threshold,
-        final_mean_ok=final_mean <= params.e_threshold,
+        e_threshold=MONITOR_E_THRESHOLD,
+        final_mean_ok=final_mean <= MONITOR_E_THRESHOLD,
         sign_violations=sign_violations,
     )

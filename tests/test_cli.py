@@ -53,6 +53,7 @@ class TestConfigResolution:
         assert cfg.plant.delta_r == 0.9
         assert cfg.controller.kappa == 1.0
         assert cfg.controller.phi == 0.5
+        assert cfg.controller.lam == 8.0
         assert cfg.controller.c0 == 64.0 and cfg.controller.c1 == 16.0
         assert cfg.estimator.centers == (-0.50, -0.10, -0.05, 0.00, 0.05, 0.10, 0.50)
         assert cfg.scenario.duration == 120.0
@@ -72,10 +73,6 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="^lambda"):
             resolve_config({"lambda": value})
 
-    def test_explicit_coefficients_beat_lambda(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "lambda = 8\nc0 = 100\n"))
-        assert cfg.controller.c0 == 100.0 and cfg.controller.c1 == 16.0
-
     def test_invalid_dead_zone_edge_named(self, tmp_path):
         with pytest.raises(ConfigError, match="delta_l"):
             load_config(_write(tmp_path, "delta_l = 0.5\n"))
@@ -85,6 +82,14 @@ class TestConfigResolution:
         for key in ("pressure_gain", "model_delta_l", "model_delta_r"):
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 load_config(_write(tmp_path, f"{key} = -1\n"))
+
+    def test_removed_knobs_are_unknown_keys(self, tmp_path):
+        # lambda alone sets the error polynomial, and the monitor's bounds and
+        # transient are fixed
+        for key in ("c0", "c1", "monitor_tol", "monitor_e_threshold",
+                    "transient_fraction"):
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config(_write(tmp_path, f"{key} = 8\n"))
 
     def test_unparseable_value_named(self, tmp_path):
         with pytest.raises(ConfigError, match="kappa"):
@@ -101,6 +106,20 @@ class TestConfigResolution:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.cfg")
+
+    def test_file_not_utf8_is_one_line_error(self, tmp_path, capsys):
+        # a Latin-1 degree sign in a comment
+        path = tmp_path / "run.cfg"
+        path.write_bytes("# oil at 40 \u00b0C\nkappa = 2\n".encode("latin-1"))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_utf8_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xef\xbb\xbfkappa = 2\n")
+        assert load_config(path).controller.kappa == 2.0
 
     def test_centers_and_consequents(self, tmp_path):
         cfg = load_config(_write(tmp_path, "centers = -1, 0, 1\nd_hat_init = 0.25\n"))
@@ -150,19 +169,17 @@ _PLANT_SAMPLES = {
     "delta_l": "-1.0", "delta_r": "0.8", "kv": "2.2e-6",
 }
 
-# One valid, non-default value per config key. "lambda" is left out: it only
-# seeds c0 and c1 and is never dumped itself.
+# One valid, non-default value per config key
 NON_DEFAULT = {
     **_PLANT_SAMPLES,
     **{"model_" + key: value for key, value in _PLANT_SAMPLES.items()
        if key not in ("delta_l", "delta_r")},
-    "c0": "49", "c1": "14", "kappa": "2", "phi": "1.5",
+    "lambda": "7", "kappa": "2", "phi": "1.5",
     "centers": "-1, 0, 1", "d_hat_init": "0.25",
     "duration": "30", "dt_plant": "0.000625", "dt_control": "0.005",
     "amplitude": "0.3", "omega": "0.2", "supply_pressure_mode": "varying",
     "x0": "0.1", "v0": "-0.01", "pl0": "1e5", "freeze_adaptation": "true",
-    "monitor_window": "5", "monitor_tol": "1.1", "monitor_e_threshold": "0.2",
-    "transient_fraction": "0.1", "out": "run.csv",
+    "monitor_window": "5", "out": "run.csv",
 }
 
 
@@ -184,9 +201,9 @@ def _changed_fields(cfg, base):
 
 
 class TestSchema:
-    def test_every_key_but_lambda_has_a_sample(self):
-        assert len(KNOWN_KEYS) == 48
-        assert set(NON_DEFAULT) == set(KNOWN_KEYS) - {"lambda"}
+    def test_every_key_has_a_sample(self):
+        assert len(KNOWN_KEYS) == 43
+        assert set(NON_DEFAULT) == set(KNOWN_KEYS)
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
     def test_non_default_value_round_trips(self, key):
@@ -352,6 +369,7 @@ class TestMain:
         out = capsys.readouterr().out
         assert "kappa = 1.0" in out
         assert "phi = 0.5" in out
+        assert "lambda = 8.0" in out
         assert "delta_l = -1.1" in out
         assert "centers = -0.5, -0.1, -0.05, 0.0, 0.05, 0.1, 0.5" in out
 
@@ -384,16 +402,21 @@ class TestMain:
             raise AssertionError("the run started")
 
         monkeypatch.setattr("ehservo.cli.run", no_run)
-        # the batch names its own CSVs, so an out would be dropped unwritten
+        # each batch run sets its own out, supply mode and adaptation, so a
+        # value given for any of them would be dropped unused
         out = tmp_path / "missing" / "x.csv"
-        if form == "flag":
-            args = ["--out", str(out)]
-        else:
-            args = ["--config", str(_write(tmp_path, f"out = {out}\n"))]
+        cases = {
+            "out": (["--out", str(out)], f"out = {out}"),
+            "supply_pressure_mode": (["--scenario", "varying-ps"],
+                                     "supply_pressure_mode = varying"),
+            "freeze_adaptation": (["--freeze-adaptation"], "freeze_adaptation = false"),
+        }
         batch = tmp_path / "batch"
-        assert main(["run", "--duration", "0.01", "--batch", str(batch), *args]) == 1
-        assert capsys.readouterr().err.startswith("config error: out ")
-        assert not batch.exists()
+        for key, (flags, line) in cases.items():
+            args = flags if form == "flag" else ["--config", str(_write(tmp_path, line + "\n"))]
+            assert main(["run", "--duration", "0.01", "--batch", str(batch), *args]) == 1
+            assert capsys.readouterr().err.startswith(f"config error: {key} "), key
+            assert not batch.exists()
 
     def test_config_paths_leave_numpy_unloaded(self):
         # a fresh interpreter, which no earlier test has made import numpy

@@ -33,12 +33,15 @@ def cp(model):
 
 class TestParamsValidation:
     def test_defaults(self, cp):
-        assert cp.c0 == 64.0 and cp.c1 == 16.0
+        assert cp.lam == 8.0 and cp.c0 == 64.0 and cp.c1 == 16.0
         assert cp.kappa == 1.0 and cp.phi == 0.5
 
+    # lam = 1e200 is finite, but its square c0 is not; 1e-170 is positive,
+    # but its square underflows to 0
     @pytest.mark.parametrize("kwargs", [
-        dict(c0=0.0), dict(c1=-2.0), dict(kappa=0.0), dict(phi=0.0),
-        dict(c0=math.inf), dict(c1=-math.inf), dict(kappa=math.inf), dict(phi=math.inf),
+        dict(lam=0.0), dict(lam=-2.0), dict(kappa=0.0), dict(phi=0.0),
+        dict(lam=math.inf), dict(lam=1e200), dict(kappa=math.inf), dict(phi=math.inf),
+        dict(lam=1e-170),
     ])
     def test_positivity(self, kwargs):
         (name,) = kwargs

@@ -175,8 +175,7 @@ def test_run_equals_its_layer_functions(exponents, mode, frozen, x, v, PL_ratio,
     st.fixed_dictionaries({
         "kappa": positive, "phi": positive, "lambda": positive,
         "centers": grids,
-    }, optional={"c0": positive, "c1": positive, "d_hat_init": st.floats(-10.0, 10.0),
-                 "out": st.text(string.printable)}),
+    }, optional={"d_hat_init": st.floats(-10.0, 10.0), "out": st.text(string.printable)}),
 )
 # one out per rule, each of which a dumped "out = ..." line would lose
 @example({"kappa": 1.0, "phi": 0.5, "lambda": 8.0, "centers": (-1.0, 1.0), "out": "run#1.csv"})

@@ -299,7 +299,7 @@ class TestRunMechanics:
         # replays each substep through rk4_step, which returns, and goes on
         # from its state
         plant = replace(PlantParams(), beta_e=1e5, Vt=0.03, Bp=0.0, K=0.1)
-        cp = ControllerParams(c0=1e-6, c1=1e-6, model=plant)
+        cp = ControllerParams(lam=1e-3, model=plant)
         sc = Scenario(duration=0.005, amplitude=0.0,
                       initial_state=PlantState(sys.float_info.max, 0.0, 0.0))
         replays = []
@@ -451,22 +451,10 @@ class TestMonitorParamsValidation:
         ({"window": -5.0}, "window"),
         ({"window": 0.0}, "window"),
         ({"window": math.inf}, "window"),
-        ({"tol": 0.0}, "tol"),
-        ({"tol": math.nan}, "tol"),
-        ({"e_threshold": -0.1}, "e_threshold"),
-        ({"e_threshold": math.nan}, "e_threshold"),
-        ({"e_threshold": math.inf}, "e_threshold"),
-        ({"transient_fraction": 1.0}, "transient_fraction"),
-        ({"transient_fraction": -0.1}, "transient_fraction"),
-        ({"transient_fraction": math.nan}, "transient_fraction"),
     ])
     def test_rejects(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             MonitorParams(**kwargs)
-
-    def test_accepts_closed_lower_edges(self):
-        params = MonitorParams(e_threshold=0.0, transient_fraction=0.0)
-        assert params.e_threshold == 0.0 and params.transient_fraction == 0.0
 
 
 class TestStabilityMonitor:
@@ -495,10 +483,11 @@ class TestStabilityMonitor:
         assert rep2.sign_violations == 0
 
     def test_threshold_comparison(self):
-        res = _synthetic_result(np.full(48000, 0.2))
-        rep = stability_monitor(res, MonitorParams(e_threshold=0.1))
+        # the final-window mean |e| bound is 0.1
+        rep = stability_monitor(_synthetic_result(np.full(48000, 0.2)))
+        assert rep.e_threshold == 0.1
         assert not rep.final_mean_ok
-        rep = stability_monitor(res, MonitorParams(e_threshold=0.3))
+        rep = stability_monitor(_synthetic_result(np.full(48000, 0.05)))
         assert rep.final_mean_ok
 
     def test_sign_check_uses_the_run_grid(self):
@@ -587,7 +576,7 @@ class TestClosedLoopProperties:
                  * sc.dt_control / (2.0 * input_gain_b(0.0, 0.0, 0.0, 0.0, cp.model)
                                     * cp.kappa))
         threshold = 1e-3
-        i0 = max(1, int(round(MonitorParams().transient_fraction * len(V))))
+        i0 = max(1, len(V) // 4)
         counted = np.abs(result.e[i0:]) >= threshold
         frac = float(np.mean(V[i0:][counted] <= V[i0 - 1:-1][counted]))
         print(f"\n  V non-increase fraction (post-transient, |e| >= {threshold:g}, "
