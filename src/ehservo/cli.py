@@ -8,7 +8,6 @@ import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -52,8 +51,7 @@ _NUMBERS = _Kind(
 _BOOL = _Kind("a boolean", _parse_bool, lambda value: str(value).lower())
 _TEXT = _Kind("text", str, str)
 
-# config key -> PlantParams field; each key but the dead-zone edges has a "model_"
-# twin for the controller's copy, which never reads the dead zone it must estimate
+# config key -> PlantParams field
 _PLANT_FIELDS = {
     "ps": "Ps", "rho": "rho", "cd": "Cd", "w": "w", "ap": "Ap", "ctp": "Ctp",
     "beta_e": "beta_e", "vt": "Vt", "mt": "Mt", "bp": "Bp", "k": "K",
@@ -62,11 +60,9 @@ _PLANT_FIELDS = {
 
 # The one config schema, in dump order: key -> (target, field, kind). The target
 # names the object that holds the field (see config_dump). Unset fields keep their
-# dataclass's default, and unset model_* fields copy the resolved plant.
+# dataclass's default.
 _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
     **{key: ("plant", field, _NUMBER) for key, field in _PLANT_FIELDS.items()},
-    **{"model_" + key: ("model", field, _NUMBER) for key, field in _PLANT_FIELDS.items()
-       if key not in ("delta_l", "delta_r")},
     "lambda": ("controller", "lam", _NUMBER),
     **{key: ("controller", key, _NUMBER) for key in ("kappa", "phi")},
     "centers": ("estimator", "centers", _NUMBERS),
@@ -151,8 +147,7 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
                 ) from None
 
     plant = _build(PlantParams, "plant", **given["plant"])
-    model = _build(partial(replace, plant), "model", **given["model"])
-    controller = _build(ControllerParams, "controller", **given["controller"], model=model)
+    controller = _build(ControllerParams, "controller", **given["controller"], model=plant)
     estimator = _build(FuzzyEstimator, "estimator", **given["estimator"])
     initial_state = PlantState(**given["initial_state"])
     scenario = _build(Scenario, "scenario", "initial_state",
@@ -193,18 +188,17 @@ def load_config(path: str | Path) -> RunConfig:
 def config_dump(cfg: RunConfig) -> str:
     """Flat key=value dump of a resolved config; reloading it resolves to the same config.
 
-    Every key is written except an unset out and the model_* keys that only
-    repeat the plant's value.
+    Every key is written except an unset out.
     """
     targets = {
-        "plant": cfg.plant, "model": cfg.controller.model, "controller": cfg.controller,
-        "estimator": cfg.estimator, "scenario": cfg.scenario,
-        "initial_state": cfg.scenario.initial_state, "monitor": cfg.monitor, "run": cfg,
+        "plant": cfg.plant, "controller": cfg.controller, "estimator": cfg.estimator,
+        "scenario": cfg.scenario, "initial_state": cfg.scenario.initial_state,
+        "monitor": cfg.monitor, "run": cfg,
     }
     lines = []
     for key, (target, field, kind) in _SCHEMA.items():
         value = getattr(targets[target], field)
-        if value is None or (target == "model" and value == getattr(cfg.plant, field)):
+        if value is None:
             continue
         lines.append(f"{key} = {kind.show(value)}")
     return "\n".join(lines) + "\n"

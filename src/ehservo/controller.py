@@ -18,9 +18,9 @@ from .plant import EPS_CAV, PlantParams, check_fields
 class ControllerParams:
     """Loop gains plus the controller's own copy of the plant parameters.
 
-    The model copy is what the control law believes about the plant. It
-    defaults to the true parameters but can deliberately differ, e.g. to keep
-    a nominal supply pressure while the simulated one varies.
+    The model is what the control law believes about the plant, dead zone
+    aside. The CLI sets it to the configured plant; a library caller may
+    pass a mismatched copy, such as replace(plant, beta_e=7.5e8).
     """
 
     lam: float = 8.0      # p^2 + c1*p + c0 = (p + lam)^2, a double root [1/s]

@@ -69,7 +69,7 @@ class Scenario:
                 f"duration ({self.duration}) spans more control periods "
                 f"(dt_control = {self.dt_control}) than a float64 column can index"
             )
-        if self.n_steps < 1:
+        if not self.duration >= self.dt_control:
             raise ValueError(
                 f"duration ({self.duration}) must span at least one control period "
                 f"(dt_control = {self.dt_control})"

@@ -78,8 +78,8 @@ class TestConfigResolution:
             load_config(_write(tmp_path, "delta_l = 0.5\n"))
 
     def test_unknown_key_named(self, tmp_path):
-        # the controller never reads its model's dead-zone edges: no key sets them
-        for key in ("pressure_gain", "model_delta_l", "model_delta_r"):
+        # the controller's model is the plant: no key sets a copy of it
+        for key in ("pressure_gain", *("model_" + key for key in _PLANT_SAMPLES)):
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
                 load_config(_write(tmp_path, f"{key} = -1\n"))
 
@@ -138,17 +138,12 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="duration"):
             load_config(_write(tmp_path, "duration = inf\n"))
 
-    def test_model_override(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "model_ps = 5e6\n"))
-        assert cfg.plant.Ps == 7e6
-        assert cfg.controller.model.Ps == 5e6
-
     def test_bad_rate_ratio_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="integer multiple"):
             load_config(_write(tmp_path, "dt_plant = 0.00125\ndt_control = 0.003\n"))
 
     def test_resolution_idempotent(self, tmp_path):
-        text = "model_ps = 5e6\nkappa = 2\nfreeze_adaptation = true\nsupply_pressure_mode = varying\n"
+        text = "ps = 5e6\nkappa = 2\nfreeze_adaptation = true\nsupply_pressure_mode = varying\n"
         cfg = load_config(_write(tmp_path, text))
         again = resolve_config(parse_kv(config_dump(cfg)))
         assert again == cfg
@@ -172,8 +167,6 @@ _PLANT_SAMPLES = {
 # One valid, non-default value per config key
 NON_DEFAULT = {
     **_PLANT_SAMPLES,
-    **{"model_" + key: value for key, value in _PLANT_SAMPLES.items()
-       if key not in ("delta_l", "delta_r")},
     "lambda": "7", "kappa": "2", "phi": "1.5",
     "centers": "-1, 0, 1", "d_hat_init": "0.25",
     "duration": "30", "dt_plant": "0.000625", "dt_control": "0.005",
@@ -187,7 +180,6 @@ def _changed_fields(cfg, base):
     """(part, field) pairs in which two resolved configs differ."""
     parts = {
         "plant": (cfg.plant, base.plant),
-        "model": (cfg.controller.model, base.controller.model),
         "controller": (cfg.controller, base.controller),
         "scenario": (cfg.scenario, base.scenario),
         "monitor": (cfg.monitor, base.monitor),
@@ -202,13 +194,14 @@ def _changed_fields(cfg, base):
 
 class TestSchema:
     def test_every_key_has_a_sample(self):
-        assert len(KNOWN_KEYS) == 43
+        assert len(KNOWN_KEYS) == 31
         assert set(NON_DEFAULT) == set(KNOWN_KEYS)
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
     def test_non_default_value_round_trips(self, key):
         cfg = resolve_config({key: NON_DEFAULT[key]})
         assert cfg != resolve_config({})
+        assert cfg.controller.model == cfg.plant
         dumped = config_dump(cfg)
         assert f"{key} = " in dumped
         assert resolve_config(parse_kv(dumped)) == cfg
@@ -228,8 +221,6 @@ class TestSchema:
             reached |= _changed_fields(resolve_config({key: value}), base)
         expected = (
             {("plant", f.name) for f in fields(PlantParams)}
-            | {("model", f.name) for f in fields(PlantParams)
-               if f.name not in ("delta_l", "delta_r")}
             | {("controller", f.name) for f in fields(ControllerParams) if f.name != "model"}
             | {("scenario", f.name) for f in fields(Scenario)}
             | {("monitor", f.name) for f in fields(MonitorParams)}

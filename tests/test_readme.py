@@ -52,10 +52,7 @@ def _config_table_keys(text):
 
 
 def test_config_table_names_every_schema_key():
-    keys = _config_table_keys(README.read_text())
-    assert "model_*" in keys
-    model_twins = {key for key in KNOWN_KEYS if key.startswith("model_")}
-    assert keys - {"model_*"} == set(KNOWN_KEYS) - model_twins
+    assert _config_table_keys(README.read_text()) == set(KNOWN_KEYS)
 
 
 def _config_value(text):

@@ -4,7 +4,7 @@ import math
 import sys
 import tracemalloc
 from array import array
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -62,6 +62,10 @@ class TestScenarioValidation:
         # shorter than one control period: the run would have no rows
         with pytest.raises(ValueError, match="duration"):
             Scenario(duration=0.001)
+        # rounds to one control period, but is shorter than one
+        with pytest.raises(ValueError, match="duration"):
+            Scenario(duration=0.0013)
+        assert Scenario(duration=0.0025).n_steps == 1
         with pytest.raises(ValueError, match="duration"):
             Scenario(duration=1e308)
         # a finite count whose 8-byte columns cannot be indexed
@@ -411,6 +415,21 @@ class TestKernelReplay:
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=5.0, supply_pressure_mode=mode, freeze_adaptation=frozen)
         assert_run_replays(sc, plant, cp, FuzzyEstimator())
+
+    @pytest.mark.parametrize("mode", ["constant", "varying"])
+    def test_mismatched_model(self, mode):
+        # the controller's model differs from the plant in every constant but
+        # the dead zone, which it never reads
+        plant = PlantParams()
+        model = replace(plant, Ps=6.5e6, rho=860.0, Cd=0.62, w=0.026, Ap=3.1e-4,
+                        Ctp=3e-12, beta_e=7.5e8, Vt=6.2e-5, Mt=260.0, Bp=110.0,
+                        K=80.0, kv=2.1e-6)
+        assert [f.name for f in fields(PlantParams)
+                if getattr(model, f.name) == getattr(plant, f.name)] == ["delta_l", "delta_r"]
+        sc = Scenario(duration=5.0, supply_pressure_mode=mode)
+        ref = assert_run_replays(sc, plant, ControllerParams(model=model), FuzzyEstimator())
+        matched = run(sc, plant, ControllerParams(model=plant), FuzzyEstimator())
+        assert not np.array_equal(ref.series["x"], matched.x)
 
     def test_consequents_on_varying_supply(self, varying_run, nominal_plant,
                                            nominal_controller, zero_estimator):
