@@ -37,7 +37,6 @@ from .sim import (
     reference_at,
     rk4_step,
     run,
-    stability_monitor,
     supply_pressure,
 )
 
@@ -74,6 +73,5 @@ __all__ = [
     "rk4_step",
     "run",
     "sgn",
-    "stability_monitor",
     "supply_pressure",
 ]

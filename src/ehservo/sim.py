@@ -8,7 +8,7 @@ inputs always produce bit-identical series.
 
 numpy is imported only where a finished run is wrapped and scored, so
 importing this module (and ehservo or its CLI) does not load it; the first
-run or stability_monitor call does.
+run does.
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ class Scenario:
                 f"duration ({self.duration}) spans more control periods "
                 f"(dt_control = {self.dt_control}) than a float64 column can index"
             )
-        if not self.duration >= self.dt_control:
+        # 4*dt_control is exact and division is monotonic, so n_steps >= 4:
+        # every quarter the metrics score holds at least one sample
+        if not self.duration >= 4.0 * self.dt_control:
             raise ValueError(
-                f"duration ({self.duration}) must span at least one control period "
+                f"duration ({self.duration}) must span at least four control periods "
                 f"(dt_control = {self.dt_control})"
             )
         if self.supply_pressure_mode not in SUPPLY_MODES:
@@ -104,7 +106,15 @@ class MonitorParams:
 
 @dataclass(frozen=True)
 class MonitorReport:
-    """Violation counts emitted by the stability monitor."""
+    """Violation counts of the stability monitor, which run scores once.
+
+    Checks, after the first-quarter transient: (i) the windowed RMS of the
+    combined error does not grow from one window to the next beyond MONITOR_TOL,
+    (ii) the final-window mean |e| sits at or below MONITOR_E_THRESHOLD, and
+    (iii) in the final window the compensation estimate has the sign of the
+    active dead-zone edge whenever the equivalent control is clearly outside
+    the innermost centers of the run's own membership grid.
+    """
 
     n_windows: int
     window_rms: tuple[float, ...]
@@ -128,7 +138,7 @@ class SimMetrics:
 
 @dataclass(eq=False)
 class SimResult:
-    """Control-rate time series of one run, the estimator grid it ran on, and its scores.
+    """Control-rate time series of one run and its scores.
 
     The series that run returns are float64 arrays over the buffers it
     filled, shared with no copy: a run costs 8 bytes per value.
@@ -146,8 +156,6 @@ class SimResult:
     dhat: np.ndarray
     e: np.ndarray
     Ps: np.ndarray
-    dt_control: float
-    centers: tuple[float, ...]      # membership grid of the run's estimator [V]
     metrics: SimMetrics
     monitor: MonitorReport
 
@@ -425,33 +433,17 @@ def run(
     if not varying:
         series["Ps"].fill(ps)
     metrics, report = _compute_metrics(series, dt_c, centers, monitor)
-    return SimResult(**series, dt_control=dt_c, centers=centers, metrics=metrics, monitor=report)
-
-
-def stability_monitor(result: SimResult, params: MonitorParams = MonitorParams()) -> MonitorReport:
-    """Score a completed run against the expected closed-loop behavior.
-
-    Checks, after the first-quarter transient: (i) the windowed RMS of the
-    combined error does not grow from one window to the next beyond MONITOR_TOL,
-    (ii) the final-window mean |e| sits at or below MONITOR_E_THRESHOLD, and
-    (iii) in the final window the compensation estimate has the sign of the
-    active dead-zone edge whenever the equivalent control is clearly outside
-    the innermost centers of the run's own membership grid. Emits counts,
-    never raises. It calls run's own scorer, so the same params give run's report.
-    """
-    return _compute_metrics(vars(result), result.dt_control, result.centers, params)[1]
+    return SimResult(**series, metrics=metrics, monitor=report)
 
 
 def _rms(rows: np.ndarray) -> np.ndarray:
-    """Root mean square of each row of a 2-D array, 0.0 for rows with no samples.
+    """Root mean square of each row of a 2-D array of at least one column.
 
     A row whose squares or their sum overflow is first divided by its largest
     magnitude, so a large but finite row keeps a finite RMS. A row sums as its 1-D slice does.
     """
     import numpy as np
 
-    if not rows.size:
-        return np.zeros(len(rows))
     with np.errstate(over="ignore"):
         rms = np.sqrt(np.add.reduce(rows * rows, axis=1) / rows.shape[1])
     for i in np.flatnonzero(rms == math.inf):
@@ -469,10 +461,11 @@ def _compute_metrics(
 ) -> tuple[SimMetrics, MonitorReport]:
     """Score a finished run once: its SimMetrics and its MonitorReport.
 
-    series maps SERIES names to the run's columns. The first quarter is the
-    transient, after which the post-transient maximum and the monitor's first
-    window start. One _rms call scores the monitor windows as rows of e, and
-    one the two quarters of xerr.
+    series maps SERIES names to the run's columns, at least four rows of them
+    (Scenario's bound), so every span scored holds a sample. The first quarter
+    is the transient, after which the post-transient maximum and the monitor's
+    first window start. One _rms call scores the monitor windows as rows of e,
+    and one the two quarters of xerr.
     """
     import numpy as np
 
@@ -493,7 +486,7 @@ def _compute_metrics(
         final = slice(final_start, final_start + w_n)
     else:
         final = slice(q, n)
-    final_mean = float(np.mean(np.abs(e[final]))) if e[final].size else 0.0
+    final_mean = float(np.mean(np.abs(e[final])))
 
     pos_inner = min((c for c in centers if c > 0.0), default=None)
     neg_inner = max((c for c in centers if c < 0.0), default=None)
@@ -505,14 +498,13 @@ def _compute_metrics(
         sign_violations += int(np.sum((uh < neg_inner) & (dh >= 0.0)))
 
     dz_err = np.abs(dhat - d)
-    post = xerr[q:]
     rms_first, rms_final = _rms(np.stack((xerr[:q], xerr[n - q:]))).tolist()
     metrics = SimMetrics(
         rms_xerr_first_quarter=rms_first,
         rms_xerr_final_quarter=rms_final,
-        max_abs_xerr_post_transient=float(np.max(np.abs(post))) if post.size else 0.0,
-        mean_dz_err_first_quarter=float(np.mean(dz_err[:q])) if q else 0.0,
-        mean_dz_err_final_quarter=float(np.mean(dz_err[n - q:])) if q else 0.0,
+        max_abs_xerr_post_transient=float(np.max(np.abs(xerr[q:]))),
+        mean_dz_err_first_quarter=float(np.mean(dz_err[:q])),
+        mean_dz_err_final_quarter=float(np.mean(dz_err[n - q:])),
     )
     return metrics, MonitorReport(
         n_windows=n_windows,

@@ -1,11 +1,12 @@
 """Shared fixtures: the long closed-loop runs are session-scoped because several
 test modules score the same three 120 s scenarios."""
 
+import math
 import time
 
 import pytest
 
-from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
+from ehservo import ControllerParams, FuzzyEstimator, MonitorParams, PlantParams, Scenario, run
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +50,9 @@ def frozen_run(nominal_plant, nominal_controller, zero_estimator):
 
 @pytest.fixture(scope="session")
 def long_run(nominal_plant, nominal_controller, zero_estimator):
-    """Constant-supply run of 260 s: after the 25% transient it still holds
-    three whole periods of the 62.8 s reference."""
-    return run(Scenario(duration=260.0), nominal_plant, nominal_controller, zero_estimator)
+    """Constant-supply run of 260 s, its monitor windows one period of the
+    62.8 s reference: after the 25% transient it still holds three of them."""
+    scenario = Scenario(duration=260.0)
+    period = 2.0 * math.pi / scenario.omega
+    return run(scenario, nominal_plant, nominal_controller, zero_estimator,
+               MonitorParams(window=period))

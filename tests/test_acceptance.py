@@ -13,7 +13,6 @@ from scipy.linalg import expm
 
 from ehservo import (
     FuzzyEstimator,
-    MonitorParams,
     PlantParams,
     PlantState,
     Scenario,
@@ -24,7 +23,6 @@ from ehservo import (
     membership,
     model_coefficients,
     rk4_step,
-    stability_monitor,
 )
 from ehservo.cli import write_csv
 from test_fuzzy import ratio_form
@@ -192,7 +190,7 @@ def test_ablation_frozen_adaptation(default_run, frozen_run):
     assert f > a
 
 
-def test_stability_monitor_window_violations(long_run):
+def test_window_monitor_violations(long_run):
     """Windowed RMS of the combined error must never grow beyond the 1.05
     factor between consecutive windows after the 25% transient.
 
@@ -205,7 +203,7 @@ def test_stability_monitor_window_violations(long_run):
     required, so the check cannot pass on no comparison at all.
     """
     period = 2.0 * math.pi / Scenario().omega
-    report = stability_monitor(long_run, MonitorParams(window=period))
+    report = long_run.monitor
     # the 1.05 bound is applied here too, so the monitor's constant cannot loosen it
     violations = sum(
         1 for lo, hi in zip(report.window_rms, report.window_rms[1:]) if not hi <= 1.05 * lo

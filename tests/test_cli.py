@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ehservo
-from ehservo import DEFAULT_CENTERS, ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
+from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
 from ehservo.cli import (
     CSV_HEADER,
     KNOWN_KEYS,
@@ -267,7 +267,6 @@ def _empty_result():
     z = np.zeros(0)
     return SimResult(
         t=z, x=z, xd=z, xerr=z, v=z, PL=z, u=z, uhat=z, d=z, dhat=z, e=z, Ps=z,
-        dt_control=0.0025, centers=DEFAULT_CENTERS,
         metrics=SimMetrics(0, 0, 0, 0, 0),
         monitor=MonitorReport(0, (), 0, 0.0, 0.1, True, 0),
     )
@@ -474,9 +473,11 @@ class TestMain:
         assert names == ["constant_ps.csv", "constant_ps_frozen.csv", "varying_ps.csv"]
 
     # 0.001 s is shorter than one control period, so the run would have no
-    # rows; 1e308 s holds more control periods than a float can count, and
+    # rows, and 0.0075 s shorter than four, so a scored quarter would have
+    # none; 1e308 s holds more control periods than a float can count, and
     # 1e300 s more than a float64 column can index
-    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0.001", "1e308", "1e300"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0.001", "0.0075", "1e308",
+                                       "1e300"])
     def test_bad_duration_flag_is_config_error(self, value, capsys):
         assert main(["run", "--duration", value]) == 1
         err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
+import ehservo
 from ehservo import cli
 from ehservo.cli import KNOWN_KEYS, config_dump, resolve_config
 
@@ -87,10 +88,14 @@ def test_config_table_defaults_match_the_code():
 
 def test_named_module_attributes_exist():
     # a backticked `plant.x`, `sim.x`, `fuzzy.x`, `controller.x` or `cli.x`
-    # must name an attribute of that ehservo module, so a deleted name cannot
-    # stay in the docs
-    names = re.findall(r"`(plant|sim|fuzzy|controller|cli)\.(\w+)", README.read_text())
-    assert names
+    # must name an attribute of that ehservo module, and a backticked call
+    # `name(...)` an attribute of ehservo, so a deleted name cannot stay in
+    # the docs
+    text = README.read_text()
+    names = re.findall(r"`(plant|sim|fuzzy|controller|cli)\.(\w+)", text)
+    calls = re.findall(r"`(\w+)\(", text)
+    assert names and calls
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(f"ehservo.{module}"), name)]
+    missing += [f"{name}(" for name in calls if not hasattr(ehservo, name)]
     assert not missing, f"README names attributes that do not exist: {missing}"

@@ -18,8 +18,6 @@ from ehservo import (
     PlantParams,
     PlantState,
     Scenario,
-    SimMetrics,
-    SimResult,
     dead_zone_d,
     dead_zone_output,
     input_gain_b,
@@ -28,11 +26,10 @@ from ehservo import (
     reference_at,
     rk4_step,
     run,
-    stability_monitor,
     supply_pressure,
 )
 from ehservo import sim
-from ehservo.sim import SERIES, SUPPLY_MODES, MonitorReport
+from ehservo.sim import SERIES, SUPPLY_MODES
 from lyapunov import lyapunov_series
 from reference import assert_run_replays, reference_run
 
@@ -59,13 +56,12 @@ class TestScenarioValidation:
     def test_bad_duration(self):
         with pytest.raises(ValueError, match="duration"):
             Scenario(duration=0.0)
-        # shorter than one control period: the run would have no rows
-        with pytest.raises(ValueError, match="duration"):
-            Scenario(duration=0.001)
-        # rounds to one control period, but is shorter than one
-        with pytest.raises(ValueError, match="duration"):
-            Scenario(duration=0.0013)
-        assert Scenario(duration=0.0025).n_steps == 1
+        # shorter than four control periods: some quarter the metrics score
+        # would hold no sample
+        for duration in (0.001, 0.0013, 0.0025, 0.0075, 0.0099):
+            with pytest.raises(ValueError, match="four control periods"):
+                Scenario(duration=duration)
+        assert Scenario(duration=0.01).n_steps == 4
         with pytest.raises(ValueError, match="duration"):
             Scenario(duration=1e308)
         # a finite count whose 8-byte columns cannot be indexed
@@ -304,7 +300,7 @@ class TestRunMechanics:
         # from its state
         plant = replace(PlantParams(), beta_e=1e5, Vt=0.03, Bp=0.0, K=0.1)
         cp = ControllerParams(lam=1e-3, model=plant)
-        sc = Scenario(duration=0.005, amplitude=0.0,
+        sc = Scenario(duration=0.01, amplitude=0.0,
                       initial_state=PlantState(sys.float_info.max, 0.0, 0.0))
         replays = []
         monkeypatch.setattr(sim, "rk4_step", lambda *args: replays.append(1) or rk4_step(*args))
@@ -366,13 +362,13 @@ class TestRunMechanics:
         sc = Scenario(duration=1.0, initial_state=PlantState(0.0, 1e160, 0.0))
         res = run(sc, plant, cp, FuzzyEstimator(), MonitorParams(window=0.1))
         assert np.max(np.abs(res.e)) > math.sqrt(sys.float_info.max)
-        pairs = _rms_and_segments(res, MonitorParams(window=0.1))
+        pairs = _rms_and_segments(res, 40)
         assert len(pairs) == 2 + 7
         for rms, seg in pairs:
             assert rms == pytest.approx(math.hypot(*seg.tolist()) / math.sqrt(seg.size),
                                         rel=1e-12)
         # where the squares do not overflow, each RMS keeps its plain bits
-        for rms, seg in _rms_and_segments(default_run[0], MonitorParams()):
+        for rms, seg in _rms_and_segments(default_run[0], 4000):
             assert rms == float(np.sqrt(np.mean(seg * seg)))
 
     def test_results_compare_by_identity(self):
@@ -390,10 +386,10 @@ class TestRunMechanics:
         assert np.all(np.abs(result.PL) <= result.Ps)
 
 
-def _rms_and_segments(res, monitor):
-    """Each RMS of res's metrics and monitor windows, with the series
-    segment it was taken over (the transient is the first quarter)."""
-    q, w = len(res.t) // 4, round(monitor.window / res.dt_control)
+def _rms_and_segments(res, w):
+    """Each RMS of res's metrics and monitor windows of w samples, with the
+    series segment it was taken over (the transient is the first quarter)."""
+    q = len(res.t) // 4
     windows = [res.e[q + k * w:q + (k + 1) * w] for k in range(res.monitor.n_windows)]
     return list(zip(
         [res.metrics.rms_xerr_first_quarter, res.metrics.rms_xerr_final_quarter,
@@ -450,18 +446,14 @@ class TestKernelReplay:
         assert np.any((uhat > centers[0]) & (uhat < centers[-1]))
 
 
-def _synthetic_result(e, uhat=None, dhat=None, dt=0.0025):
-    n = len(e)
-    z = np.zeros(n)
-    uhat = z if uhat is None else uhat
-    dhat = z if dhat is None else dhat
-    metrics = SimMetrics(0, 0, 0, 0, 0)
-    report = MonitorReport(0, (), 0, 0.0, 0.1, True, 0)
-    return SimResult(
-        t=np.arange(n) * dt, x=z, xd=z, xerr=z, v=z, PL=z, u=z, uhat=uhat,
-        d=z, dhat=dhat, e=np.asarray(e, dtype=float), Ps=np.full(n, 7e6),
-        dt_control=dt, centers=DEFAULT_CENTERS, metrics=metrics, monitor=report,
-    )
+def _monitor_report(e, uhat=None, dhat=None, centers=DEFAULT_CENTERS,
+                    monitor=MonitorParams()):
+    """The report run's scorer gives a series e at the default 400 Hz, with
+    zero xerr and d, and uhat and dhat zero unless given."""
+    z = np.zeros(len(e))
+    series = {"xerr": z, "d": z, "dhat": z if dhat is None else dhat,
+              "e": np.asarray(e, dtype=float), "uhat": z if uhat is None else uhat}
+    return sim._compute_metrics(series, 0.0025, centers, monitor)[1]
 
 
 class TestMonitorParamsValidation:
@@ -478,15 +470,13 @@ class TestMonitorParamsValidation:
 
 class TestStabilityMonitor:
     def test_zero_error_series_clean(self):
-        res = _synthetic_result(np.zeros(48000))
-        rep = stability_monitor(res, MonitorParams())
+        rep = _monitor_report(np.zeros(48000))
         assert rep.rms_violations == 0
         assert rep.final_window_mean_abs_e == 0.0
         assert rep.sign_violations == 0
 
     def test_growing_error_flags_every_pair(self):
-        res = _synthetic_result(np.linspace(0.001, 10.0, 48000))
-        rep = stability_monitor(res, MonitorParams())
+        rep = _monitor_report(np.linspace(0.001, 10.0, 48000))
         assert rep.n_windows == 9
         assert rep.rms_violations == rep.n_windows - 1
 
@@ -494,28 +484,26 @@ class TestStabilityMonitor:
         n = 48000
         uhat = np.full(n, 0.2)          # clearly right of the innermost center
         dhat = np.full(n, -0.05)        # wrong sign for the right edge
-        res = _synthetic_result(np.zeros(n), uhat=uhat, dhat=dhat)
-        rep = stability_monitor(res, MonitorParams())
+        rep = _monitor_report(np.zeros(n), uhat=uhat, dhat=dhat)
         assert rep.sign_violations == 4000  # every sample of the final 10 s window
-        rep2 = stability_monitor(_synthetic_result(np.zeros(n), uhat=uhat, dhat=-dhat),
-                                 MonitorParams())
+        rep2 = _monitor_report(np.zeros(n), uhat=uhat, dhat=-dhat)
         assert rep2.sign_violations == 0
 
     def test_threshold_comparison(self):
         # the final-window mean |e| bound is 0.1
-        rep = stability_monitor(_synthetic_result(np.full(48000, 0.2)))
+        rep = _monitor_report(np.full(48000, 0.2))
         assert rep.e_threshold == 0.1
         assert not rep.final_mean_ok
-        rep = stability_monitor(_synthetic_result(np.full(48000, 0.05)))
+        rep = _monitor_report(np.full(48000, 0.05))
         assert rep.final_mean_ok
 
     def test_sign_check_uses_the_run_grid(self):
         # innermost centers at +/-0.2 instead of the default +/-0.05
-        res = _synthetic_result(np.zeros(48000), uhat=np.full(48000, 0.1),
-                                dhat=np.full(48000, -0.05))
-        assert stability_monitor(res).sign_violations == 4000
-        res.centers = (-0.5, -0.2, 0.0, 0.2, 0.5)
-        assert stability_monitor(res).sign_violations == 0
+        series = {"e": np.zeros(48000), "uhat": np.full(48000, 0.1),
+                  "dhat": np.full(48000, -0.05)}
+        assert _monitor_report(**series).sign_violations == 4000
+        grid = (-0.5, -0.2, 0.0, 0.2, 0.5)
+        assert _monitor_report(**series, centers=grid).sign_violations == 0
 
     def test_overflowing_window_next_to_plain_ones(self):
         # only the window whose squares overflow is rescaled; the others keep
@@ -524,7 +512,7 @@ class TestStabilityMonitor:
         e = 1e-3 * (1.5 + np.sin(0.01 * np.arange(48000)))
         q, w = 12000, 4000
         e[q + 4 * w:q + 5 * w] = 1e200
-        rep = stability_monitor(_synthetic_result(e), MonitorParams())
+        rep = _monitor_report(e)
         assert rep.n_windows == 9
         for k, rms in enumerate(rep.window_rms):
             seg = e[q + k * w:q + (k + 1) * w]
@@ -538,23 +526,25 @@ class TestStabilityMonitor:
         # window / dt_control overflows an int; it scores like any window
         # longer than the run
         plant = PlantParams()
-        res = run(Scenario(duration=1.0), plant, ControllerParams(model=plant), FuzzyEstimator())
-        rep = stability_monitor(res, MonitorParams(window=1e308))
-        assert rep.n_windows == 0
-        assert rep == stability_monitor(res, MonitorParams(window=1000.0))
+        cp = ControllerParams(model=plant)
+        sc = Scenario(duration=1.0)
+        huge = run(sc, plant, cp, FuzzyEstimator(), MonitorParams(window=1e308))
+        assert huge.monitor.n_windows == 0
+        long = run(sc, plant, cp, FuzzyEstimator(), MonitorParams(window=1000.0))
+        assert huge.monitor == long.monitor
 
-    def test_run_report_equals_rescoring(self):
-        # every way of scoring one run with the same params gives one report,
-        # also on a grid other than the default
+    def test_run_scores_with_its_grid(self):
+        # run's report is its scorer's on its series and its estimator's own
+        # grid, which here flags different samples than the default grid
         plant = PlantParams()
         cp = ControllerParams(model=plant)
         est = FuzzyEstimator((-0.5, -0.2, 0.0, 0.2, 0.5))
-        sc = Scenario(duration=15.0, omega=0.5)
-        res = run(sc, plant, cp, est)
-        assert res.centers == est.centers
-        again = run(sc, plant, cp, est, MonitorParams())
-        assert res.monitor == again.monitor == stability_monitor(res)
-        assert res.monitor == stability_monitor(again, MonitorParams())
+        res = run(Scenario(duration=15.0, omega=0.5), plant, cp, est)
+        series = vars(res)
+        assert res.monitor == sim._compute_metrics(series, 0.0025, est.centers,
+                                                   MonitorParams())[1]
+        assert res.monitor != sim._compute_metrics(series, 0.0025, DEFAULT_CENTERS,
+                                                   MonitorParams())[1]
 
 
 class TestClosedLoopProperties:
