@@ -14,8 +14,8 @@ run does.
 from __future__ import annotations
 
 import math
+import struct
 import sys
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -31,6 +31,8 @@ SUPPLY_MODES = ("constant", "varying")
 
 # control-rate series of a SimResult, in CSV column order
 SERIES = ("t", "x", "xd", "xerr", "v", "PL", "u", "uhat", "d", "dhat", "e", "Ps")
+# one control step's row of SERIES, as run stores it: 8 bytes a value
+_ROW = struct.Struct(f"{len(SERIES)}d")
 
 MONITOR_TOL = 1.05              # stability monitor: allowed window-to-window RMS growth
 MONITOR_E_THRESHOLD = 0.1       # stability monitor: final-window mean |e| bound
@@ -55,7 +57,7 @@ class Scenario:
         )
         # The step counts round the two ratios, so each float ratio is tested
         # before its rounding: an overflowing rate ratio is no integer multiple,
-        # and an overflowing duration ratio indexes no float64 column.
+        # and an overflowing duration ratio indexes no row buffer.
         if not self.dt_control / self.dt_plant < sys.maxsize or (
             abs(self.dt_control - self.substeps * self.dt_plant) > 1e-9 * self.dt_control
         ):
@@ -63,11 +65,11 @@ class Scenario:
                 f"dt_control ({self.dt_control}) must be an integer multiple of "
                 f"dt_plant ({self.dt_plant})"
             )
-        # run stores each series as n_steps 8-byte floats in one buffer
-        if not self.duration / self.dt_control <= sys.maxsize // 8:
+        # run stores one row of every series per control period in one buffer
+        if not self.duration / self.dt_control <= sys.maxsize // _ROW.size:
             raise ValueError(
                 f"duration ({self.duration}) spans more control periods "
-                f"(dt_control = {self.dt_control}) than a float64 column can index"
+                f"(dt_control = {self.dt_control}) than the run's row buffer can index"
             )
         # 4*dt_control is exact and division is monotonic, so n_steps >= 4:
         # every quarter the metrics score holds at least one sample
@@ -140,8 +142,8 @@ class SimMetrics:
 class SimResult:
     """Control-rate time series of one run and its scores.
 
-    The series that run returns are float64 arrays over the buffers it
-    filled, shared with no copy: a run costs 8 bytes per value.
+    The series that run returns are the float64 columns of the one row
+    buffer it filled, shared with no copy: a run costs 8 bytes per value.
     """
 
     t: np.ndarray
@@ -239,11 +241,8 @@ def run(
     the one they give, bit for bit. The tests compose the same loop from the
     public functions and require run to equal it.
 
-    Each step writes x, xd, v, PL, u, uhat and e, plus dhat when adapting
-    and Ps when the supply varies. After the loop, t = k*dt_control,
-    xerr = x - xd, d = dead_zone_d(u) and a constant Ps are filled in over
-    the same buffers with the same bits; a frozen run's dhat keeps the
-    columns' initial +0.0.
+    Each step writes its row of the twelve series once, in SERIES order; a
+    frozen run's dhat is +0.0.
 
     Each substep checks finiteness once, on x + v + PL after the RK4 combine,
     where rk4_step checks every stage. The one check misses no stage: every
@@ -289,11 +288,10 @@ def run(
     sqrt, sin, cos, isfinite, eps_cav = math.sqrt, math.sin, math.cos, math.isfinite, EPS_CAV
     substeps = range(n_sub)
 
-    # unboxed float64 columns: each value is stored as 8 bytes and its float
-    # object freed, and SimResult's arrays read these buffers without a copy.
-    # t, xerr and d are filled in after the loop.
-    cols = [array("d", [0.0]) * n_steps for _ in SERIES]
-    _, X, XD, _, V, P, U, UHAT, _, DHAT, E, PS = cols
+    # unboxed float64 rows: each value is stored as 8 bytes and its float
+    # object freed, and SimResult's arrays read this buffer without a copy
+    buf = bytearray(_ROW.size * n_steps)
+    pack_row, row_size = _ROW.pack_into, _ROW.size
     x, v, PL = scenario.initial_state.x, scenario.initial_state.v, scenario.initial_state.PL
     ps = supply_pressure(scenario.supply_pressure_mode, x, Ps0)
     # acceleration(): the force balance, which the spool does not enter. Each
@@ -346,13 +344,9 @@ def run(
             raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
         d = delta_l if u <= delta_l else delta_r if u >= delta_r else u
 
-        X[k], XD[k], V[k], P[k] = x, xd, v, PL
-        U[k], UHAT[k], E[k] = u, u_hat, e
-        if varying:
-            PS[k] = ps
+        pack_row(buf, k * row_size, t, x, xd, xerr, v, PL, u, u_hat, d, d_hat, e, ps)
 
         if not frozen:
-            DHAT[k] = d_hat
             step = phi * e * dt_c
             if step != 0.0:
                 if pair:
@@ -423,15 +417,8 @@ def run(
 
     import numpy as np
 
-    series = dict(zip(SERIES, (np.frombuffer(col, dtype=np.float64) for col in cols)))
-    # the series the loop skipped, bit for bit in place: float(k) is exact for
-    # k < 2**53, so arange(n)*dt is the loop's k*dt_c, and clip selects the
-    # value dead_zone_d returns (delta_l < 0 < delta_r, u finite)
-    np.multiply(np.arange(n_steps, dtype=np.float64), dt_c, out=series["t"])
-    np.subtract(series["x"], series["xd"], out=series["xerr"])
-    np.clip(series["u"], delta_l, delta_r, out=series["d"])
-    if not varying:
-        series["Ps"].fill(ps)
+    rows = np.frombuffer(buf, dtype=np.float64).reshape(n_steps, len(SERIES))
+    series = dict(zip(SERIES, rows.T))
     metrics, report = _compute_metrics(series, dt_c, centers, monitor)
     return SimResult(**series, metrics=metrics, monitor=report)
 

@@ -475,9 +475,9 @@ class TestMain:
     # 0.001 s is shorter than one control period, so the run would have no
     # rows, and 0.0075 s shorter than four, so a scored quarter would have
     # none; 1e308 s holds more control periods than a float can count, and
-    # 1e300 s more than a float64 column can index
+    # 1e300 s and 2.5e15 s more than the run's row buffer can index
     @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0.001", "0.0075", "1e308",
-                                       "1e300"])
+                                       "1e300", "2.5e15"])
     def test_bad_duration_flag_is_config_error(self, value, capsys):
         assert main(["run", "--duration", value]) == 1
         err = capsys.readouterr().err

@@ -64,9 +64,10 @@ class TestScenarioValidation:
         assert Scenario(duration=0.01).n_steps == 4
         with pytest.raises(ValueError, match="duration"):
             Scenario(duration=1e308)
-        # a finite count whose 8-byte columns cannot be indexed
-        with pytest.raises(ValueError, match="duration"):
-            Scenario(duration=1e300)
+        # finite counts whose 96-byte rows cannot be indexed
+        for duration in (1e300, 2.5e15):
+            with pytest.raises(ValueError, match="row buffer"):
+                Scenario(duration=duration)
         # an indexable count passes; constructing allocates no column
         assert Scenario(duration=1e6).n_steps == 400_000_000
 
@@ -327,13 +328,15 @@ class TestRunMechanics:
         for name in SERIES:
             col = getattr(res, name)
             assert col.dtype == np.float64 and col.shape == (sc.n_steps,), name
+            # columns of one row buffer interleave, so they share bounds but no byte
+            assert np.may_share_memory(col, res.t), name
         assert peak <= 2 * len(SERIES) * 8 * sc.n_steps, f"{peak / sc.n_steps:.0f} B/row"
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["adaptive", "frozen"])
     def test_filled_columns_equal_their_definitions(self, frozen):
-        # t, xerr, d and a constant Ps are filled in after the loop; away
-        # from the default rates and over 1e5 rows they must still hold the
-        # bits of k*dt, x - xd, dead_zone_d(u) and Ps
+        # the loop's own records of t, xerr, d and a constant Ps must hold
+        # the bits of k*dt, x - xd, dead_zone_d(u) and Ps, away from the
+        # default rates (300/900 Hz) and over 1e5 rows
         plant = PlantParams()
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=334.0, dt_control=1 / 300, dt_plant=1 / 900,
