@@ -331,6 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"output error: {err}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # every job of a batch runs for the configured duration
+        print(f"out of memory: a run of duration {cfg.scenario.duration!r} s does not fit "
+              "in the memory available", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

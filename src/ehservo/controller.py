@@ -19,14 +19,15 @@ class ControllerParams:
     """Loop gains plus the controller's own copy of the plant parameters.
 
     The model is what the control law believes about the plant, dead zone
-    aside. The CLI sets it to the configured plant; a library caller may
-    pass a mismatched copy, such as replace(plant, beta_e=7.5e8).
+    aside. It has no default and is passed by keyword. The CLI sets it to the
+    configured plant; a library caller may pass a mismatched copy, such as
+    replace(plant, beta_e=7.5e8).
     """
 
     lam: float = 8.0      # p^2 + c1*p + c0 = (p + lam)^2, a double root [1/s]
     kappa: float = 1.0    # error feedback gain
     phi: float = 0.5      # adaptation rate
-    model: PlantParams = field(default_factory=PlantParams)
+    model: PlantParams = field(kw_only=True)
 
     def __post_init__(self):
         check_fields(self, positive=("lam", "kappa", "phi"))

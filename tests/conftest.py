@@ -7,6 +7,7 @@ import time
 import pytest
 
 from ehservo import ControllerParams, FuzzyEstimator, MonitorParams, PlantParams, Scenario, run
+from reference import assert_run_replays
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,14 @@ def default_run(nominal_plant, nominal_controller, zero_estimator):
     result = run(Scenario(), nominal_plant, nominal_controller, zero_estimator)
     elapsed = time.perf_counter() - start
     return result, elapsed
+
+
+@pytest.fixture(scope="session")
+def default_reference(nominal_plant, nominal_controller, zero_estimator, default_run):
+    """The reference loop's replay of the default run, which the run must
+    equal bit for bit; it carries the gain and consequents of every step."""
+    return assert_run_replays(Scenario(), nominal_plant, nominal_controller, zero_estimator,
+                              default_run[0])
 
 
 @pytest.fixture(scope="session")

@@ -25,6 +25,7 @@ from ehservo import (
     rk4_step,
 )
 from ehservo.cli import write_csv
+from ehservo.sim import SERIES
 from test_fuzzy import ratio_form
 
 
@@ -222,17 +223,22 @@ def test_window_monitor_violations(long_run):
 
 def test_determinism_byte_identical_csv(default_run, nominal_plant, nominal_controller,
                                         zero_estimator, tmp_path):
-    """Two consecutive default runs must serialize to byte-identical CSV."""
+    """Two consecutive default runs must hold bit-identical series and
+    serialize to byte-identical CSV."""
     from ehservo import Scenario, run
 
     first, _ = default_run
     second = run(Scenario(), nominal_plant, nominal_controller, zero_estimator)
+    differ = [name for name in SERIES
+              if getattr(first, name).tobytes() != getattr(second, name).tobytes()]
     p1, p2 = tmp_path / "first.csv", tmp_path / "second.csv"
     write_csv(first, p1)
     write_csv(second, p2)
     same = p1.read_bytes() == p2.read_bytes()
     _report(
-        "determinism", same,
-        f"two 120 s runs, {p1.stat().st_size} bytes each, byte-identical: {same}",
+        "determinism", same and not differ,
+        f"two 120 s runs, series differing bitwise: {differ or 'none'}, "
+        f"{p1.stat().st_size} bytes each, byte-identical: {same}",
     )
+    assert not differ
     assert same

@@ -287,12 +287,6 @@ class TestCsv:
             orig = getattr(res, name)
             assert np.allclose(parsed[name], orig, rtol=1e-11, atol=0.0), name
 
-    def test_identical_runs_identical_bytes(self, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(_short_run(), p1)
-        write_csv(_short_run(), p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
     @pytest.mark.parametrize("fixture", list(YARDSTICK_SHA256))
     def test_default_runs_keep_their_digests(self, fixture, request, tmp_path):
         path = tmp_path / "run.csv"
@@ -548,6 +542,21 @@ class TestMain:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not [path for path in tmp_path.rglob("*.csv") if path.is_file()]
+
+    def test_run_out_of_memory_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        # a run that raises MemoryError stands in for one whose row buffer the
+        # allocator refuses, such as --duration 1e6 (38.4 GB)
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("ehservo.cli.run", no_memory)
+        out = tmp_path / "run.csv"
+        assert main(["run", "--duration", "1e6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ")
+        assert "1000000.0" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_out_key_in_config(self, tmp_path):
         target = tmp_path / "from_config.csv"

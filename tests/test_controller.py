@@ -43,10 +43,15 @@ class TestParamsValidation:
         dict(lam=math.inf), dict(lam=1e200), dict(kappa=math.inf), dict(phi=math.inf),
         dict(lam=1e-170),
     ])
-    def test_positivity(self, kwargs):
+    def test_positivity(self, kwargs, model):
         (name,) = kwargs
         with pytest.raises(ValueError, match=name):
-            ControllerParams(**kwargs)
+            ControllerParams(**kwargs, model=model)
+
+    def test_model_has_no_default(self):
+        # the plant a controller models is always the caller's choice
+        with pytest.raises(TypeError, match="model"):
+            ControllerParams()
 
     def test_hurwitz_roots(self, cp):
         roots = np.roots([1.0, cp.c1, cp.c0])
@@ -139,7 +144,3 @@ class TestControlLaw:
             u = control_law(u_hat, edge, 0.0, cp)
             assert dead_zone_d(u, model) == edge
             assert dead_zone_output(u, model) == pytest.approx(model.kv * u_hat, rel=1e-12, abs=1e-30)
-
-    def test_deterministic(self, cp):
-        args = (0.123456, -0.654321, 0.111111)
-        assert control_law(*args, cp) == control_law(*args, cp)

@@ -75,21 +75,6 @@ class TestDeadZone:
     def test_d_saturates_left(self, params):
         assert dead_zone_d(-3.0, params) == -1.1
 
-    def test_d_bounded(self, params):
-        rng = np.random.default_rng(42)
-        for u in rng.uniform(-10, 10, 2000):
-            assert params.delta_l <= dead_zone_d(u, params) <= params.delta_r
-
-    def test_decomposition_identity_exact(self, params):
-        # x_sp(u) == kv*(u - d(u)), bit for bit
-        rng = np.random.default_rng(7)
-        us = np.concatenate([
-            rng.uniform(-10, 10, 5000),
-            [params.delta_l, params.delta_r, 0.0, -1.1000000001, 0.8999999999],
-        ])
-        for u in us:
-            assert dead_zone_output(u, params) == params.kv * (u - dead_zone_d(u, params))
-
 
 class TestLoadFlow:
     def test_centered_spool_no_flow(self, params):

@@ -81,6 +81,8 @@ def test_adapt_keeps_rules_that_did_not_fire(grid, u_hat, e, phi, dt):
 @example(-1.1, 0.9, 2e-6, -1.1)
 @example(-1.1, 0.9, 2e-6, 0.9)
 @example(-1.1, 0.9, 2e-6, math.inf)
+@example(-1.1, 0.9, 1e-5, -1.1000000001)
+@example(-1.1, 0.9, 1e-5, 0.8999999999)
 def test_dead_zone_identity(delta_l, delta_r, kv, u):
     p = PlantParams(delta_l=delta_l, delta_r=delta_r, kv=kv)
     x_sp = dead_zone_output(u, p)
