@@ -75,7 +75,6 @@ _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
     "pl0": ("initial_state", "PL", _NUMBER),
     "freeze_adaptation": ("scenario", "freeze_adaptation", _BOOL),
     "monitor_window": ("monitor", "window", _NUMBER),
-    "out": ("run", "out", _TEXT),
 }
 
 KNOWN_KEYS = tuple(_SCHEMA)
@@ -87,7 +86,7 @@ _KEYS = {(target, field): key for key, (target, field, _) in _SCHEMA.items()}
 _SCENARIOS = {"constant-ps": "constant", "varying-ps": "varying"}
 
 # --batch: output name -> scenario fields changed from the resolved config. Every
-# job sets the same fields; none of them, and no out, may be given with --batch.
+# job sets the same fields; none of them, and no --out, may be given with --batch.
 _BATCH = {
     "constant_ps": {"supply_pressure_mode": "constant", "freeze_adaptation": False},
     "varying_ps": {"supply_pressure_mode": "varying", "freeze_adaptation": False},
@@ -104,7 +103,6 @@ class RunConfig:
     estimator: FuzzyEstimator
     scenario: Scenario
     monitor: MonitorParams
-    out: str | None = None
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -153,11 +151,7 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
     scenario = _build(Scenario, "scenario", "initial_state",
                       **given["scenario"], initial_state=initial_state)
     monitor = _build(MonitorParams, "monitor", **given["monitor"])
-    out = given["run"].get("out")
-    # config_dump writes out as one "out = ..." line, which must read back the same
-    if out is not None and (out != out.strip() or "#" in out or len(out.splitlines()) != 1):
-        raise ConfigError(f"out must be one line with no '#' and no edge whitespace, got {out!r}")
-    return RunConfig(plant, controller, estimator, scenario, monitor, **given["run"])
+    return RunConfig(plant, controller, estimator, scenario, monitor)
 
 
 def _build(make: Callable[..., Any], *targets: str, **values: Any) -> Any:
@@ -180,28 +174,15 @@ def _read_kv(path: str | Path) -> dict[str, str]:
     return parse_kv(text)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Read and resolve a flat key=value configuration file."""
-    return resolve_config(_read_kv(path))
-
-
 def config_dump(cfg: RunConfig) -> str:
-    """Flat key=value dump of a resolved config; reloading it resolves to the same config.
-
-    Every key is written except an unset out.
-    """
+    """Flat key=value dump of a resolved config; reloading it resolves to the same config."""
     targets = {
         "plant": cfg.plant, "controller": cfg.controller, "estimator": cfg.estimator,
         "scenario": cfg.scenario, "initial_state": cfg.scenario.initial_state,
-        "monitor": cfg.monitor, "run": cfg,
+        "monitor": cfg.monitor,
     }
-    lines = []
-    for key, (target, field, kind) in _SCHEMA.items():
-        value = getattr(targets[target], field)
-        if value is None:
-            continue
-        lines.append(f"{key} = {kind.show(value)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {kind.show(getattr(targets[target], field))}\n"
+                   for key, (target, field, kind) in _SCHEMA.items())
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -264,9 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run one scenario (or a batch) and emit CSV plus metrics")
     runp.add_argument("--config", help="flat key=value configuration file")
-    # The next four flags store raw text under their config key (argparse dest),
-    # so their values are parsed and validated exactly like the config file's.
     runp.add_argument("--out", help="CSV output path")
+    # The next three flags store raw text under their config key (argparse dest),
+    # so their values are parsed and validated exactly like the config file's.
     runp.add_argument(
         "--scenario", dest="supply_pressure_mode", metavar="{" + ",".join(_SCENARIOS) + "}",
         help="select the supply-pressure mode",
@@ -286,13 +267,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         raw = {**(_read_kv(args.config) if args.config else {}), **_flag_overrides(args)}
         cfg = resolve_config(raw)
-        if args.batch == "":
-            raise ConfigError("--batch must name a path, got ''")
+        for flag, path in (("--out", args.out), ("--batch", args.batch)):
+            if path == "":
+                raise ConfigError(f"{flag} must name a path, got ''")
         if args.batch is not None:
             # each batch job sets these itself, so a given value would be dropped
-            for key in ("out", *_BATCH["constant_ps"]):
-                if key in raw:
-                    raise ConfigError(f"{key} ({raw[key]!r}) cannot be set with --batch, "
+            given = {"--out": args.out, **raw}
+            for key in ("--out", *_BATCH["constant_ps"]):
+                if given.get(key) is not None:
+                    raise ConfigError(f"{key} ({given[key]!r}) cannot be set with --batch, "
                                       "which sets it for each of its runs")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -303,15 +286,21 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        jobs = [("", cfg.scenario, cfg.out)]   # (summary header, scenario, CSV path)
+        jobs = [("", cfg.scenario, args.out)]   # (summary header, scenario, CSV path)
         if args.batch is not None:
             Path(args.batch).mkdir(parents=True, exist_ok=True)
             jobs = [(name, replace(cfg.scenario, **changes), Path(args.batch) / f"{name}.csv")
                     for name, changes in _BATCH.items()]
-        # fail before the first run, without creating or truncating any CSV
+        # fail before the first run, without creating or truncating any CSV: an
+        # existing target must itself be writable, a new one's directory must be
         for out in (Path(csv) for _, _, csv in jobs if csv is not None):
-            if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
-                raise OSError(f"cannot write CSV to {out}: not a file in a writable directory")
+            if out.exists():
+                writable = not out.is_dir() and os.access(out, os.W_OK)
+            else:
+                writable = out.parent.is_dir() and os.access(out.parent, os.W_OK)
+            if not writable:
+                raise OSError(f"cannot write CSV to {out}: neither a writable file "
+                              "nor a new file in a writable directory")
         # run loads numpy to wrap its series: load it off the summary's wall-clock time
         import numpy  # noqa: F401
         for name, scenario, out in jobs:

@@ -22,7 +22,6 @@ from ehservo.cli import (
     _SCHEMA,
     ConfigError,
     config_dump,
-    load_config,
     main,
     parse_kv,
     resolve_config,
@@ -46,8 +45,8 @@ def _short_run(**scenario_kwargs):
 
 
 class TestConfigResolution:
-    def test_empty_file_gives_defaults(self, tmp_path):
-        cfg = load_config(_write(tmp_path, ""))
+    def test_empty_file_gives_defaults(self):
+        cfg = resolve_config(parse_kv(""))
         assert cfg.plant.Ps == 7e6
         assert cfg.plant.delta_l == -1.1
         assert cfg.plant.delta_r == 0.9
@@ -61,10 +60,10 @@ class TestConfigResolution:
         assert cfg.scenario.dt_control == 1 / 400
         assert cfg.scenario.amplitude == 0.5 and cfg.scenario.omega == 0.1
 
-    def test_lambda_expansion(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "lambda = 8\n"))
+    def test_lambda_expansion(self):
+        cfg = resolve_config(parse_kv("lambda = 8\n"))
         assert cfg.controller.c0 == 64.0 and cfg.controller.c1 == 16.0
-        cfg = load_config(_write(tmp_path, "lambda = 5\n"))
+        cfg = resolve_config(parse_kv("lambda = 5\n"))
         assert cfg.controller.c0 == 25.0 and cfg.controller.c1 == 10.0
 
     # lambda = 1e200 is finite, but its square c0 is not
@@ -73,39 +72,39 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="^lambda"):
             resolve_config({"lambda": value})
 
-    def test_invalid_dead_zone_edge_named(self, tmp_path):
+    def test_invalid_dead_zone_edge_named(self):
         with pytest.raises(ConfigError, match="delta_l"):
-            load_config(_write(tmp_path, "delta_l = 0.5\n"))
+            resolve_config(parse_kv("delta_l = 0.5\n"))
 
-    def test_unknown_key_named(self, tmp_path):
+    def test_unknown_key_named(self):
         # the controller's model is the plant: no key sets a copy of it
         for key in ("pressure_gain", *("model_" + key for key in _PLANT_SAMPLES)):
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-                load_config(_write(tmp_path, f"{key} = -1\n"))
+                resolve_config(parse_kv(f"{key} = -1\n"))
 
-    def test_removed_knobs_are_unknown_keys(self, tmp_path):
-        # lambda alone sets the error polynomial, and the monitor's bounds and
-        # transient are fixed
+    def test_removed_knobs_are_unknown_keys(self):
+        # lambda alone sets the error polynomial, the monitor's bounds and
+        # transient are fixed, and the CSV path is the --out flag alone
         for key in ("c0", "c1", "monitor_tol", "monitor_e_threshold",
-                    "transient_fraction"):
+                    "transient_fraction", "out"):
             with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-                load_config(_write(tmp_path, f"{key} = 8\n"))
+                resolve_config(parse_kv(f"{key} = 8\n"))
 
-    def test_unparseable_value_named(self, tmp_path):
+    def test_unparseable_value_named(self):
         with pytest.raises(ConfigError, match="kappa"):
-            load_config(_write(tmp_path, "kappa = fast\n"))
+            resolve_config(parse_kv("kappa = fast\n"))
 
-    def test_missing_equals_sign(self, tmp_path):
+    def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="key = value"):
-            load_config(_write(tmp_path, "kappa 2\n"))
+            resolve_config(parse_kv("kappa 2\n"))
 
-    def test_comments_and_blanks_skipped(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "# comment\n\nkappa = 2  # inline\n"))
+    def test_comments_and_blanks_skipped(self):
+        cfg = resolve_config(parse_kv("# comment\n\nkappa = 2  # inline\n"))
         assert cfg.controller.kappa == 2.0
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            load_config(tmp_path / "nope.cfg")
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot read config ")
 
     def test_file_not_utf8_is_one_line_error(self, tmp_path, capsys):
         # a Latin-1 degree sign in a comment
@@ -116,35 +115,36 @@ class TestConfigResolution:
         assert err.startswith(f"config error: cannot read config {path}: ")
         assert len(err.splitlines()) == 1
 
-    def test_utf8_byte_order_mark_skipped(self, tmp_path):
+    def test_utf8_byte_order_mark_skipped(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_bytes(b"\xef\xbb\xbfkappa = 2\n")
-        assert load_config(path).controller.kappa == 2.0
+        assert main(["run", "--config", str(path), "--print-config"]) == 0
+        assert "kappa = 2.0" in capsys.readouterr().out
 
-    def test_centers_and_consequents(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "centers = -1, 0, 1\nd_hat_init = 0.25\n"))
+    def test_centers_and_consequents(self):
+        cfg = resolve_config(parse_kv("centers = -1, 0, 1\nd_hat_init = 0.25\n"))
         assert cfg.estimator.centers == (-1.0, 0.0, 1.0)
         assert cfg.estimator.d_hat == (0.25, 0.25, 0.25)
 
-    def test_consequent_length_mismatch(self, tmp_path):
+    def test_consequent_length_mismatch(self):
         with pytest.raises(ConfigError, match="d_hat"):
-            load_config(_write(tmp_path, "centers = -1, 0, 1\nd_hat_init = 1, 2\n"))
+            resolve_config(parse_kv("centers = -1, 0, 1\nd_hat_init = 1, 2\n"))
 
-    def test_scalar_consequent_broadcasts_over_default_grid(self, tmp_path):
-        cfg = load_config(_write(tmp_path, "d_hat_init = 0.5\n"))
+    def test_scalar_consequent_broadcasts_over_default_grid(self):
+        cfg = resolve_config(parse_kv("d_hat_init = 0.5\n"))
         assert cfg.estimator.d_hat == (0.5,) * 7
 
-    def test_non_finite_duration_rejected(self, tmp_path):
+    def test_non_finite_duration_rejected(self):
         with pytest.raises(ConfigError, match="duration"):
-            load_config(_write(tmp_path, "duration = inf\n"))
+            resolve_config(parse_kv("duration = inf\n"))
 
-    def test_bad_rate_ratio_rejected(self, tmp_path):
+    def test_bad_rate_ratio_rejected(self):
         with pytest.raises(ConfigError, match="integer multiple"):
-            load_config(_write(tmp_path, "dt_plant = 0.00125\ndt_control = 0.003\n"))
+            resolve_config(parse_kv("dt_plant = 0.00125\ndt_control = 0.003\n"))
 
-    def test_resolution_idempotent(self, tmp_path):
+    def test_resolution_idempotent(self):
         text = "ps = 5e6\nkappa = 2\nfreeze_adaptation = true\nsupply_pressure_mode = varying\n"
-        cfg = load_config(_write(tmp_path, text))
+        cfg = resolve_config(parse_kv(text))
         again = resolve_config(parse_kv(config_dump(cfg)))
         assert again == cfg
 
@@ -152,10 +152,10 @@ class TestConfigResolution:
         cfg = resolve_config({})
         assert resolve_config(parse_kv(config_dump(cfg))) == cfg
 
-    def test_duplicate_key_names_both_lines(self, tmp_path):
+    def test_duplicate_key_names_both_lines(self):
         text = "kappa = 2\nphi = 1\nKAPPA = 3\n"
         with pytest.raises(ConfigError, match=r"line 3: duplicate key 'kappa', first set on line 1"):
-            load_config(_write(tmp_path, text))
+            resolve_config(parse_kv(text))
 
 
 _PLANT_SAMPLES = {
@@ -175,7 +175,7 @@ NON_DEFAULT = {
     "duration": "30", "dt_plant": "0.000625", "dt_control": "0.005",
     "amplitude": "0.3", "omega": "0.2", "supply_pressure_mode": "varying",
     "x0": "0.1", "v0": "-0.01", "pl0": "1e5", "freeze_adaptation": "true",
-    "monitor_window": "5", "out": "run.csv",
+    "monitor_window": "5",
 }
 
 
@@ -197,7 +197,7 @@ def _changed_fields(cfg, base):
 
 class TestSchema:
     def test_every_key_has_a_sample(self):
-        assert len(KNOWN_KEYS) == 31
+        assert len(KNOWN_KEYS) == 30
         assert set(NON_DEFAULT) == set(KNOWN_KEYS)
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
@@ -329,6 +329,14 @@ class TestSummarize:
         assert "final-window mean |e|" in out
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if main starts a run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr("ehservo.cli.run", refuse)
+
+
 class TestMain:
     def test_successful_run(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -387,22 +395,19 @@ class TestMain:
         assert names == ["constant_ps.csv", "constant_ps_frozen.csv", "varying_ps.csv"]
 
     @pytest.mark.parametrize("form", ["flag", "config"])
-    def test_out_with_batch_is_config_error(self, form, tmp_path, capsys, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        monkeypatch.setattr("ehservo.cli.run", no_run)
-        # each batch run sets its own out, supply mode and adaptation, so a
+    def test_out_with_batch_is_config_error(self, form, tmp_path, capsys, no_run):
+        # each batch run sets its own --out, supply mode and adaptation, so a
         # value given for any of them would be dropped unused
-        out = tmp_path / "missing" / "x.csv"
         cases = {
-            "out": (["--out", str(out)], f"out = {out}"),
+            "--out": (["--out", str(tmp_path / "missing" / "x.csv")], None),  # no config key
             "supply_pressure_mode": (["--scenario", "varying-ps"],
                                      "supply_pressure_mode = varying"),
             "freeze_adaptation": (["--freeze-adaptation"], "freeze_adaptation = false"),
         }
         batch = tmp_path / "batch"
         for key, (flags, line) in cases.items():
+            if form == "config" and line is None:
+                continue
             args = flags if form == "flag" else ["--config", str(_write(tmp_path, line + "\n"))]
             assert main(["run", "--duration", "0.01", "--batch", str(batch), *args]) == 1
             assert capsys.readouterr().err.startswith(f"config error: {key} "), key
@@ -491,24 +496,15 @@ class TestMain:
         assert "supply_pressure_mode = varying" in out
         assert "freeze_adaptation = true" in out
 
-    # an empty out or --batch would run and write no CSV
+    # an empty --out or --batch would run and write no CSV
     @pytest.mark.parametrize("line, flags, error", [
         ("monitor_window = nan", [], "config error: monitor_window"),
         ("kappa = inf", [], "config error: kappa"),
-        ("out =", [], "config error: out "),
-        ("", ["--out", ""], "config error: out "),
+        ("", ["--out", ""], "config error: --out "),
         ("", ["--batch", ""], "config error: --batch "),
-        # config_dump could not write these as one "out = ..." line
-        ("", ["--out", "run#1.csv"], "config error: out "),
-        ("", ["--out", " run.csv"], "config error: out "),
-    ], ids=["monitor_window", "kappa", "out", "out_flag", "batch_flag", "out_hash",
-            "out_edge_space"])
+    ], ids=["monitor_window", "kappa", "out_flag", "batch_flag"])
     def test_bad_value_rejected_before_run(self, line, flags, error, tmp_path, capsys,
-                                           monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        monkeypatch.setattr("ehservo.cli.run", no_run)
+                                           no_run):
         cfg = _write(tmp_path, line + "\n")
         assert main(["run", "--config", str(cfg), *flags]) == 1
         assert error in capsys.readouterr().err
@@ -518,24 +514,20 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--duration", "1"]) == 0
         assert "rms-window violations             : 0 of 0 pairs" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("form", ["out", "out_dir", "batch", "batch_csv"])
-    def test_unwritable_output_is_one_line_error(self, form, tmp_path, capsys, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the run started")
-
-        monkeypatch.setattr("ehservo.cli.run", no_run)
-        # --out into a missing directory or onto a directory; --batch onto a
-        # file, or with its last CSV path a directory
-        if form == "out":
-            args = ["--out", str(tmp_path / "missing" / "run.csv")]
-        elif form == "out_dir":
-            args = ["--out", str(tmp_path)]
-        elif form == "batch":
-            taken = _write(tmp_path, "", name="taken")
-            args = ["--batch", str(taken)]
-        else:
-            (tmp_path / "batch" / "constant_ps_frozen.csv").mkdir(parents=True)
-            args = ["--batch", str(tmp_path / "batch")]
+    @pytest.mark.parametrize("form", ["out", "out_dir", "read_only", "batch", "batch_csv"])
+    def test_unwritable_output_is_one_line_error(self, form, tmp_path, capsys, monkeypatch,
+                                                 no_run):
+        # --out into a missing directory, onto a directory or onto a read-only
+        # file; --batch onto a file, or with its last CSV path a directory
+        taken = _write(tmp_path, "", name="taken")
+        access = os.access
+        monkeypatch.setattr("ehservo.cli.os.access", lambda p, m: p != taken and access(p, m))
+        (tmp_path / "batch" / "constant_ps_frozen.csv").mkdir(parents=True)
+        args = {"out": ["--out", str(tmp_path / "missing" / "run.csv")],
+                "out_dir": ["--out", str(tmp_path)],
+                "read_only": ["--out", str(taken)],
+                "batch": ["--batch", str(taken)],
+                "batch_csv": ["--batch", str(tmp_path / "batch")]}[form]
         assert main(["run", "--duration", "0.1", *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("output error: ")
@@ -558,8 +550,16 @@ class TestMain:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    def test_out_key_in_config(self, tmp_path):
-        target = tmp_path / "from_config.csv"
-        cfg = _write(tmp_path, f"out = {target}\nduration = 0.5\n")
-        assert main(["run", "--config", str(cfg)]) == 0
-        assert target.exists()
+    def test_any_file_name_is_an_output(self, tmp_path, monkeypatch):
+        # the path is no config value, so a '#' or edge whitespace is no error
+        monkeypatch.chdir(tmp_path)
+        for name in ("run#1.csv", " run.csv"):
+            assert main(["run", "--duration", "0.01", "--out", name]) == 0
+            assert (tmp_path / name).read_text().startswith(CSV_HEADER + "\n")
+
+    def test_existing_target_judged_by_itself(self, monkeypatch):
+        # a writable target, such as the null device, in a directory that is not
+        access = os.access
+        monkeypatch.setattr("ehservo.cli.os.access", lambda path, mode: (
+            path != Path(os.devnull).parent and access(path, mode)))
+        assert main(["run", "--duration", "0.01", "--out", os.devnull]) == 0

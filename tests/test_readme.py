@@ -47,22 +47,16 @@ def _config_table_rows(text):
         yield re.findall(r"`([^`]+)`", cells[1]), cells[-2].strip()
 
 
-def _config_table_keys(text):
-    """Backticked names in the first column of README's config table."""
-    return {key for keys, _ in _config_table_rows(text) for key in keys}
-
-
 def test_config_table_names_every_schema_key():
-    assert _config_table_keys(README.read_text()) == set(KNOWN_KEYS)
+    rows = _config_table_rows(README.read_text())
+    assert {key for keys, _ in rows for key in keys} == set(KNOWN_KEYS)
 
 
 def _config_value(text):
     """A default as a config value: a Unicode minus reads as '-', a trailing
-    unit word is dropped, 'a/b' is a fraction, 'unset' is no value, and what
-    is not a number stays text."""
+    unit word is dropped, 'a/b' is a fraction, and what is not a number stays
+    text."""
     token = text.replace("\u2212", "-").split()[0]
-    if token == "unset":
-        return None
     num, _, den = token.partition("/")
     try:
         return float(num) / float(den or 1)
@@ -81,7 +75,7 @@ def test_config_table_defaults_match_the_code():
         if not set(keys) <= set(KNOWN_KEYS) or len(items) != len(keys):
             continue
         for key, item in zip(keys, items):
-            assert _config_value(item) == _config_value(dumped.get(key, "unset")), key
+            assert _config_value(item) == _config_value(dumped[key]), key
         checked += 1
     assert checked >= 10
 

@@ -550,3 +550,21 @@ class TestClosedLoopProperties:
               f"sampled-data floor {floor:.2g}): {frac:.4f} over {counted.sum()} samples")
         assert threshold > floor
         assert frac >= 0.99
+
+    @pytest.mark.parametrize("kappa, rate, product, blows_up", [
+        (6.0, 400, 2.29, False), (7.0, 400, 2.67, True), (7.0, 800, 1.33, False),
+    ], ids=["6-at-400Hz", "7-at-400Hz", "7-at-800Hz"])
+    def test_kappa_ceiling_doubles_with_rate(self, nominal_plant, kappa, rate, product, blows_up):
+        """One held control period scales e by about 1 - kappa*b0*dt_control, so
+        the ceiling in kappa, near kappa*b0*dt_control = 2, doubles with the rate."""
+        b0 = input_gain_b(0.0, 0.0, 0.0, 1.0, nominal_plant)
+        assert round(b0, 2) == 152.46
+        assert round(kappa * b0 / rate, 2) == product
+        sc = Scenario(duration=20.0, dt_plant=0.5 / rate, dt_control=1.0 / rate)
+        cp = ControllerParams(kappa=kappa, model=nominal_plant)
+        if blows_up:
+            with pytest.raises(BlowUpError) as err:
+                run(sc, nominal_plant, cp, FuzzyEstimator())
+            assert err.value.time < 1.0
+        else:
+            assert run(sc, nominal_plant, cp, FuzzyEstimator()).t[-1] > 19.9
