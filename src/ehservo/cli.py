@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from .controller import ControllerParams
+from .controller import ControllerParams, input_gain_b
 from .fuzzy import FuzzyEstimator
 from .plant import BlowUpError, PlantParams, PlantState
 from .sim import SERIES as CSV_COLUMNS
@@ -315,7 +315,12 @@ def main(argv: list[str] | None = None) -> int:
             summarize(result, elapsed)
         return 0
     except BlowUpError as err:
-        print(f"numerical blow-up: {err}", file=sys.stderr)
+        # one held control period scales e by about 1 - kappa*b0*dt_control (b0: gain at rest)
+        cp = cfg.controller
+        ceiling = cp.kappa * input_gain_b(0.0, 0.0, 0.0, 1.0, cp.model) * cfg.scenario.dt_control
+        note = (f"; kappa*b0*dt_control = {ceiling:.3g} > 2: a voltage held over each control "
+                "period cannot stabilise this gain") if ceiling > 2.0 else ""
+        print(f"numerical blow-up: {err}{note}", file=sys.stderr)
         return 2
     except OSError as err:
         print(f"output error: {err}", file=sys.stderr)

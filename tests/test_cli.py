@@ -142,16 +142,6 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="integer multiple"):
             resolve_config(parse_kv("dt_plant = 0.00125\ndt_control = 0.003\n"))
 
-    def test_resolution_idempotent(self):
-        text = "ps = 5e6\nkappa = 2\nfreeze_adaptation = true\nsupply_pressure_mode = varying\n"
-        cfg = resolve_config(parse_kv(text))
-        again = resolve_config(parse_kv(config_dump(cfg)))
-        assert again == cfg
-
-    def test_default_dump_round_trip(self):
-        cfg = resolve_config({})
-        assert resolve_config(parse_kv(config_dump(cfg))) == cfg
-
     def test_duplicate_key_names_both_lines(self):
         text = "kappa = 2\nphi = 1\nKAPPA = 3\n"
         with pytest.raises(ConfigError, match=r"line 3: duplicate key 'kappa', first set on line 1"):
@@ -358,8 +348,18 @@ class TestMain:
         out = tmp_path / "run.csv"
         code = main(["run", "--config", str(cfg), "--duration", "1", "--out", str(out)])
         assert code == 2
-        assert "numerical blow-up" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical blow-up" in err
+        assert "kappa*b0*dt_control" not in err  # 1*152.46/400 = 0.38
         assert not out.exists()
+
+    def test_blow_up_past_the_kappa_ceiling_says_so(self, tmp_path, capsys):
+        # kappa*b0*dt_control = 7*152.46/400 = 2.67: each held period scales e by about -1.67
+        cfg = _write(tmp_path, "kappa = 7\n")
+        assert main(["run", "--config", str(cfg), "--duration", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "kappa*b0*dt_control = 2.67 > 2" in err
 
     def test_print_config_echoes_defaults(self, capsys):
         code = main(["run", "--print-config"])

@@ -94,19 +94,6 @@ class TestInfer:
         for u in np.linspace(-1, 1, 101):
             assert infer(d_hat, membership(u, C)) == 0.0
 
-    def test_constant_consequents(self):
-        for u in np.linspace(-1, 1, 101):
-            assert infer((0.7,) * 7, membership(u, C)) == pytest.approx(0.7, rel=1e-12)
-
-    def test_linear_in_consequents(self):
-        rng = np.random.default_rng(23)
-        d1 = tuple(rng.normal(size=7))
-        d2 = tuple(rng.normal(size=7))
-        psi = membership(0.033, C)
-        lhs = infer(tuple(a + 2.0 * b for a, b in zip(d1, d2)), psi)
-        rhs = infer(d1, psi) + 2.0 * infer(d2, psi)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
     def test_piecewise_linear_continuous(self):
         d_hat = (1.0, -2.0, 0.5, 3.0, -1.0, 2.0, 0.0)
         # continuity across each center

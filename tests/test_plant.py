@@ -1,4 +1,6 @@
-"""Plant model: dead zone, orifice flow, force balance, pressure dynamics."""
+"""Plant model: parameter checks, orifice flow, force balance, pressure dynamics.
+
+The dead zone's piecewise form is a property test (test_properties.py)."""
 
 import math
 
@@ -10,8 +12,6 @@ from ehservo import (
     PlantParams,
     PlantState,
     acceleration,
-    dead_zone_d,
-    dead_zone_output,
     load_flow,
     plant_derivatives,
     sgn,
@@ -20,8 +20,7 @@ from ehservo import (
 
 @pytest.fixture
 def params():
-    # nominal parameters with the valve gain the hand-derived values below use
-    return PlantParams(kv=1e-5)
+    return PlantParams()
 
 
 class TestParamsValidation:
@@ -47,33 +46,6 @@ class TestParamsValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="Ps"):
             PlantParams(Ps=math.inf)
-
-
-class TestDeadZone:
-    def test_zero_inside_band(self, params):
-        assert dead_zone_output(0.0, params) == 0.0
-
-    def test_right_edge_is_zero(self, params):
-        assert dead_zone_output(params.delta_r, params) == 0.0
-
-    def test_beyond_right_edge(self, params):
-        # kv*(2.0 - 0.9) with kv = 1e-5
-        assert dead_zone_output(2.0, params) == 1e-5 * (2.0 - 0.9)
-        assert dead_zone_output(2.0, params) == pytest.approx(1.1e-5, rel=1e-12)
-
-    def test_continuous_and_monotone(self, params):
-        us = np.linspace(-4.0, 4.0, 20001)
-        outs = [dead_zone_output(u, params) for u in us]
-        assert all(b >= a for a, b in zip(outs, outs[1:]))
-        jumps = np.abs(np.diff(outs))
-        assert jumps.max() <= params.kv * (us[1] - us[0]) * 1.001
-
-    def test_d_middle_branch(self, params):
-        assert dead_zone_d(0.0, params) == 0.0
-        assert dead_zone_d(0.37, params) == 0.37
-
-    def test_d_saturates_left(self, params):
-        assert dead_zone_d(-3.0, params) == -1.1
 
 
 class TestLoadFlow:

@@ -78,9 +78,6 @@ class TestScenarioValidation:
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 Scenario(initial_state=PlantState(**{name: math.inf}))
 
-    def test_any_integer_ratio_supported(self):
-        assert Scenario(dt_plant=1 / 2000, dt_control=1 / 400).substeps == 5
-
 
 class TestReference:
     def test_at_zero(self):
@@ -155,25 +152,6 @@ class TestRK4Step:
         # a NaN voltage is no closed valve: it reaches the state and is reported
         with pytest.raises(BlowUpError):
             rk4_step(PlantState(), math.nan, 1 / 800, PlantParams())
-
-    def test_mass_spring_reduction(self):
-        # with a vanishing bulk modulus the pressure stays at zero and the
-        # plant is the bare damped oscillator Mt*x'' + Bp*x' + K*x = 0
-        p = PlantParams(beta_e=1e-3)
-        x0 = 0.05
-        wn = math.sqrt(p.K / p.Mt)
-        zeta = p.Bp / (2.0 * math.sqrt(p.K * p.Mt))
-        wd = wn * math.sqrt(1.0 - zeta * zeta)
-        s = PlantState(x0, 0.0, 0.0)
-        dt = 1 / 800
-        worst = 0.0
-        for k in range(1, round(20.0 / dt) + 1):
-            s = rk4_step(s, 0.0, dt, p)
-            t = k * dt
-            envelope = math.exp(-zeta * wn * t)
-            closed = x0 * envelope * (math.cos(wd * t) + zeta * wn / wd * math.sin(wd * t))
-            worst = max(worst, abs(s.x - closed))
-        assert worst < 1e-7
 
 
 class TestRunMechanics:
@@ -349,23 +327,34 @@ def _rms_and_segments(res, w):
 class TestKernelReplay:
     """run inlines the controller, the estimator and the plant over plain
     floats; the reference loop of the public functions (tests/reference.py)
-    is what it must equal bit for bit."""
+    is what it must equal bit for bit.
 
-    # the last case runs away from the default rates, at 300/900 Hz, under a
-    # reference fast enough to drive u past both dead-zone edges
+    The adaptive loop on constant supply is replayed by test_default_run, the
+    varying supply by the varying case of test_controller_columns, and the
+    frozen branch by its other two cases. The varying case and the
+    frozen-300-900 case drive u past both dead-zone edges."""
+
+    # the varying case reaches every branch of the 120 s varying run in an
+    # eighth of its steps, with u_hat on both shoulders and in the interior and
+    # Ps on both sides of nominal. The last case runs at 300/900 Hz.
     @pytest.mark.parametrize("sc, past_edges", [
-        (Scenario(duration=5.0), False),
-        (Scenario(duration=5.0, supply_pressure_mode="varying"), False),
+        (Scenario(duration=15.0, omega=0.5, supply_pressure_mode="varying"), True),
         (Scenario(duration=5.0, freeze_adaptation=True), False),
         (Scenario(duration=15.0, omega=0.5, dt_control=1 / 300, dt_plant=1 / 900,
                   freeze_adaptation=True), True),
-    ], ids=["constant-False", "varying-False", "constant-True", "frozen-300-900"])
+    ], ids=["varying-False", "constant-True", "frozen-300-900"])
     def test_controller_columns(self, sc, past_edges):
         plant = PlantParams()
-        u = assert_run_replays(sc, plant, ControllerParams(model=plant),
-                               FuzzyEstimator()).series["u"]
+        series = assert_run_replays(sc, plant, ControllerParams(model=plant),
+                                    FuzzyEstimator()).series
+        u, uhat, Ps = series["u"], series["uhat"], series["Ps"]
         if past_edges:
             assert u.min() < plant.delta_l and u.max() > plant.delta_r
+        if sc.supply_pressure_mode == "varying":
+            assert Ps.min() < plant.Ps < Ps.max()
+            c = DEFAULT_CENTERS
+            assert np.any(uhat <= c[0]) and np.any(uhat >= c[-1])
+            assert np.any((uhat > c[0]) & (uhat < c[-1]))
 
     def test_default_run(self, default_reference):
         # the replay of the default 120 s run, which the energy check reads
@@ -385,12 +374,6 @@ class TestKernelReplay:
         ref = assert_run_replays(sc, plant, ControllerParams(model=model), FuzzyEstimator())
         matched = run(sc, plant, ControllerParams(model=plant), FuzzyEstimator())
         assert not np.array_equal(ref.series["x"], matched.x)
-
-    def test_consequents_on_varying_supply(self, varying_run, nominal_plant,
-                                           nominal_controller, zero_estimator):
-        sc = Scenario(supply_pressure_mode="varying")
-        assert_run_replays(sc, nominal_plant, nominal_controller, zero_estimator,
-                           varying_run)
 
     def test_non_default_grid_and_start(self):
         # a faster reference drives u_hat past both shoulders and through the
@@ -516,11 +499,6 @@ class TestClosedLoopProperties:
         a = base.metrics.rms_xerr_final_quarter
         b = fine.metrics.rms_xerr_final_quarter
         assert abs(b - a) / a < 0.01
-
-    def test_frozen_baseline_never_outperforms(self, default_run, frozen_run):
-        adaptive, _ = default_run
-        assert (frozen_run.metrics.rms_xerr_final_quarter
-                >= adaptive.metrics.rms_xerr_final_quarter)
 
     def test_e2_decrease_fraction(self, default_run, default_reference, nominal_plant,
                                   nominal_controller, zero_estimator):
