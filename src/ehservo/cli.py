@@ -7,7 +7,7 @@ import os
 import sys
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -15,7 +15,7 @@ from .controller import ControllerParams, input_gain_b
 from .fuzzy import FuzzyEstimator
 from .plant import BlowUpError, PlantParams, PlantState
 from .sim import SERIES as CSV_COLUMNS
-from .sim import MonitorParams, Scenario, SimResult, run
+from .sim import MONITOR_E_THRESHOLD, MonitorParams, Scenario, SimResult, run
 
 CSV_HEADER = ",".join(CSV_COLUMNS)
 _CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"
@@ -51,18 +51,11 @@ _NUMBERS = _Kind(
 _BOOL = _Kind("a boolean", _parse_bool, lambda value: str(value).lower())
 _TEXT = _Kind("text", str, str)
 
-# config key -> PlantParams field
-_PLANT_FIELDS = {
-    "ps": "Ps", "rho": "rho", "cd": "Cd", "w": "w", "ap": "Ap", "ctp": "Ctp",
-    "beta_e": "beta_e", "vt": "Vt", "mt": "Mt", "bp": "Bp", "k": "K",
-    "delta_l": "delta_l", "delta_r": "delta_r", "kv": "kv",
-}
-
 # The one config schema, in dump order: key -> (target, field, kind). The target
-# names the object that holds the field (see config_dump). Unset fields keep their
-# dataclass's default.
+# names the object that holds the field (see config_dump), and each plant key is
+# its PlantParams field in lower case. Unset fields keep their dataclass's default.
 _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
-    **{key: ("plant", field, _NUMBER) for key, field in _PLANT_FIELDS.items()},
+    **{f.name.lower(): ("plant", f.name, _NUMBER) for f in fields(PlantParams)},
     "lambda": ("controller", "lam", _NUMBER),
     **{key: ("controller", key, _NUMBER) for key in ("kappa", "phi")},
     "centers": ("estimator", "centers", _NUMBERS),
@@ -76,8 +69,6 @@ _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
     "freeze_adaptation": ("scenario", "freeze_adaptation", _BOOL),
     "monitor_window": ("monitor", "window", _NUMBER),
 }
-
-KNOWN_KEYS = tuple(_SCHEMA)
 
 # (target, field) -> config key, the name a rejected value is reported by
 _KEYS = {(target, field): key for key, (target, field, _) in _SCHEMA.items()}
@@ -145,7 +136,8 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
                 ) from None
 
     plant = _build(PlantParams, "plant", **given["plant"])
-    controller = _build(ControllerParams, "controller", **given["controller"], model=plant)
+    controller = _build(ControllerParams, "controller", "plant",
+                        **given["controller"], model=plant)
     estimator = _build(FuzzyEstimator, "estimator", **given["estimator"])
     initial_state = PlantState(**given["initial_state"])
     scenario = _build(Scenario, "scenario", "initial_state",
@@ -229,9 +221,11 @@ def summarize(result: SimResult, elapsed: float | None = None) -> None:
     _say(f"max |tracking error| post-transient: {met.max_abs_xerr_post_transient:.6g} m")
     _say(f"mean |dhat - d|, first quarter    : {met.mean_dz_err_first_quarter:.6g} V")
     _say(f"mean |dhat - d|, final quarter    : {met.mean_dz_err_final_quarter:.6g} V")
-    _say(f"rms-window violations             : {mon.rms_violations} of {max(mon.n_windows - 1, 0)} pairs")
+    _say(f"rms-window violations             : {mon.rms_violations} of "
+         f"{max(len(mon.window_rms) - 1, 0)} pairs")
     _say(f"final-window mean |e|             : {mon.final_window_mean_abs_e:.6g} "
-         f"(threshold {mon.e_threshold:.6g}, {'ok' if mon.final_mean_ok else 'EXCEEDED'})")
+         f"(threshold {MONITOR_E_THRESHOLD:.6g}, "
+         f"{'ok' if mon.final_mean_ok else 'EXCEEDED'})")
     _say(f"estimate sign violations          : {mon.sign_violations}")
     if elapsed is not None:
         _say(f"wall-clock time                   : {elapsed:.2f} s")

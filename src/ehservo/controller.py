@@ -34,6 +34,15 @@ class ControllerParams:
         # with lam > 0, the polynomial is Hurwitz iff c0 > 0; a finite c0 keeps c1 finite
         if not 0.0 < self.c0 < math.inf:
             raise ValueError(f"lam must have a positive, finite square, got {self.lam}")
+        # the model's coefficients divide by Vt*Mt and the equivalent control by
+        # the input gain, which is least where the pressure drop meets its floor
+        m = self.model
+        if m.Vt * m.Mt == 0.0:
+            raise ValueError(f"Vt ({m.Vt}) times Mt ({m.Mt}) underflows to 0")
+        b_floor = input_gain_b(0.0, 0.0, m.Ps * m.Ap / m.Mt, 1.0, m)
+        if not b_floor > 0.0:
+            raise ValueError(f"kv ({m.kv}) and the other constants give the model an input "
+                             f"gain of {b_floor} at the pressure-drop floor, not a positive one")
 
     @property
     def c0(self) -> float:

@@ -78,6 +78,12 @@ class Scenario:
                 f"duration ({self.duration}) must span at least four control periods "
                 f"(dt_control = {self.dt_control})"
             )
+        # the reference's phase omega*t stays finite up to the last sample
+        if not math.isfinite(self.omega * self.duration):
+            raise ValueError(
+                f"omega ({self.omega}) times duration ({self.duration}) must be finite: "
+                "the reference phase overflows"
+            )
         if self.supply_pressure_mode not in SUPPLY_MODES:
             raise ValueError(
                 f"supply_pressure_mode must be one of {SUPPLY_MODES}, "
@@ -118,11 +124,9 @@ class MonitorReport:
     the innermost centers of the run's own membership grid.
     """
 
-    n_windows: int
-    window_rms: tuple[float, ...]
+    window_rms: tuple[float, ...]   # one per scored window
     rms_violations: int             # type (i): windowed RMS of e grew
     final_window_mean_abs_e: float
-    e_threshold: float
     final_mean_ok: bool             # type (ii)
     sign_violations: int            # type (iii): d_hat sign against the active edge
 
@@ -494,11 +498,9 @@ def _compute_metrics(
         mean_dz_err_final_quarter=float(np.mean(dz_err[n - q:])),
     )
     return metrics, MonitorReport(
-        n_windows=n_windows,
         window_rms=tuple(window_rms),
         rms_violations=rms_violations,
         final_window_mean_abs_e=final_mean,
-        e_threshold=MONITOR_E_THRESHOLD,
         final_mean_ok=final_mean <= MONITOR_E_THRESHOLD,
         sign_violations=sign_violations,
     )

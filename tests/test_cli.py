@@ -16,7 +16,6 @@ import ehservo
 from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
 from ehservo.cli import (
     CSV_HEADER,
-    KNOWN_KEYS,
     _NUMBER,
     _NUMBERS,
     _SCHEMA,
@@ -79,7 +78,7 @@ class TestConfigResolution:
     def test_unknown_key_named(self):
         # the controller's model is the plant: no key sets a copy of it
         for key in ("pressure_gain", *("model_" + key for key in _PLANT_SAMPLES)):
-            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'"):
                 resolve_config(parse_kv(f"{key} = -1\n"))
 
     def test_removed_knobs_are_unknown_keys(self):
@@ -187,8 +186,8 @@ def _changed_fields(cfg, base):
 
 class TestSchema:
     def test_every_key_has_a_sample(self):
-        assert len(KNOWN_KEYS) == 30
-        assert set(NON_DEFAULT) == set(KNOWN_KEYS)
+        assert len(_SCHEMA) == 30
+        assert set(NON_DEFAULT) == set(_SCHEMA)
 
     @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
     def test_non_default_value_round_trips(self, key):
@@ -258,7 +257,7 @@ def _empty_result():
     return SimResult(
         t=z, x=z, xd=z, xerr=z, v=z, PL=z, u=z, uhat=z, d=z, dhat=z, e=z, Ps=z,
         metrics=SimMetrics(0, 0, 0, 0, 0),
-        monitor=MonitorReport(0, (), 0, 0.0, 0.1, True, 0),
+        monitor=MonitorReport((), 0, 0.0, True, 0),
     )
 
 
@@ -273,7 +272,7 @@ class TestCsv:
         path = tmp_path / "run.csv"
         write_csv(res, path)
         parsed = np.genfromtxt(path, delimiter=",", names=True)
-        for name in ("t", "x", "xd", "xerr", "v", "PL", "u", "uhat", "d", "dhat", "e", "Ps"):
+        for name in SERIES:
             orig = getattr(res, name)
             assert np.allclose(parsed[name], orig, rtol=1e-11, atol=0.0), name
 
@@ -496,18 +495,27 @@ class TestMain:
         assert "supply_pressure_mode = varying" in out
         assert "freeze_adaptation = true" in out
 
-    # an empty --out or --batch would run and write no CSV
+    # an empty --out or --batch would run and write no CSV; finite, positive
+    # plant constants whose products underflow leave the model no input gain,
+    # and a reference phase omega*t that overflows would reach sin(inf)
     @pytest.mark.parametrize("line, flags, error", [
         ("monitor_window = nan", [], "config error: monitor_window"),
         ("kappa = inf", [], "config error: kappa"),
         ("", ["--out", ""], "config error: --out "),
         ("", ["--batch", ""], "config error: --batch "),
-    ], ids=["monitor_window", "kappa", "out_flag", "batch_flag"])
+        ("vt = 1e-200\nmt = 1e-200", [], "config error: vt "),
+        ("cd = 1e-200\nkv = 1e-200", [], "config error: kv "),
+        ("cd = 1e-150\nkv = 1e-150\nrho = 1e300", [], "config error: kv "),
+        ("amplitude = 0\nomega = 1e308", ["--duration", "2"], "config error: omega "),
+    ], ids=["monitor_window", "kappa", "out_flag", "batch_flag", "vt_mt", "cd_kv",
+            "gain_floor", "omega"])
     def test_bad_value_rejected_before_run(self, line, flags, error, tmp_path, capsys,
                                            no_run):
         cfg = _write(tmp_path, line + "\n")
         assert main(["run", "--config", str(cfg), *flags]) == 1
-        assert error in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(error)
+        assert len(err.splitlines()) == 1
 
     def test_window_too_long_to_count_runs(self, tmp_path, capsys):
         cfg = _write(tmp_path, "monitor_window = 1e308\n")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import ehservo
 from ehservo import cli
-from ehservo.cli import KNOWN_KEYS, config_dump, resolve_config
+from ehservo.cli import _SCHEMA, config_dump, resolve_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -49,7 +49,7 @@ def _config_table_rows(text):
 
 def test_config_table_names_every_schema_key():
     rows = _config_table_rows(README.read_text())
-    assert {key for keys, _ in rows for key in keys} == set(KNOWN_KEYS)
+    assert {key for keys, _ in rows for key in keys} == set(_SCHEMA)
 
 
 def _config_value(text):
@@ -72,7 +72,7 @@ def test_config_table_defaults_match_the_code():
     checked = 0
     for keys, default in _config_table_rows(README.read_text()):
         items = default.split(",")
-        if not set(keys) <= set(KNOWN_KEYS) or len(items) != len(keys):
+        if not set(keys) <= set(_SCHEMA) or len(items) != len(keys):
             continue
         for key, item in zip(keys, items):
             assert _config_value(item) == _config_value(dumped[key]), key

@@ -316,7 +316,7 @@ def _rms_and_segments(res, w):
     """Each RMS of res's metrics and monitor windows of w samples, with the
     series segment it was taken over (the transient is the first quarter)."""
     q = len(res.t) // 4
-    windows = [res.e[q + k * w:q + (k + 1) * w] for k in range(res.monitor.n_windows)]
+    windows = [res.e[q + k * w:q + (k + 1) * w] for k in range(len(res.monitor.window_rms))]
     return list(zip(
         [res.metrics.rms_xerr_first_quarter, res.metrics.rms_xerr_final_quarter,
          *res.monitor.window_rms],
@@ -419,8 +419,8 @@ class TestStabilityMonitor:
 
     def test_growing_error_flags_every_pair(self):
         rep = _monitor_report(np.linspace(0.001, 10.0, 48000))
-        assert rep.n_windows == 9
-        assert rep.rms_violations == rep.n_windows - 1
+        assert len(rep.window_rms) == 9
+        assert rep.rms_violations == 8
 
     def test_sign_check_counts_mismatches(self):
         n = 48000
@@ -434,7 +434,6 @@ class TestStabilityMonitor:
     def test_threshold_comparison(self):
         # the final-window mean |e| bound is 0.1
         rep = _monitor_report(np.full(48000, 0.2))
-        assert rep.e_threshold == 0.1
         assert not rep.final_mean_ok
         rep = _monitor_report(np.full(48000, 0.05))
         assert rep.final_mean_ok
@@ -455,7 +454,7 @@ class TestStabilityMonitor:
         q, w = 12000, 4000
         e[q + 4 * w:q + 5 * w] = 1e200
         rep = _monitor_report(e)
-        assert rep.n_windows == 9
+        assert len(rep.window_rms) == 9
         for k, rms in enumerate(rep.window_rms):
             seg = e[q + k * w:q + (k + 1) * w]
             if k == 4:
@@ -471,7 +470,7 @@ class TestStabilityMonitor:
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=1.0)
         huge = run(sc, plant, cp, FuzzyEstimator(), MonitorParams(window=1e308))
-        assert huge.monitor.n_windows == 0
+        assert huge.monitor.window_rms == ()
         long = run(sc, plant, cp, FuzzyEstimator(), MonitorParams(window=1000.0))
         assert huge.monitor == long.monitor
 
