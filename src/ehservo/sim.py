@@ -84,6 +84,13 @@ class Scenario:
                 f"omega ({self.omega}) times duration ({self.duration}) must be finite: "
                 "the reference phase overflows"
             )
+        # and so does its jerk amplitude*omega**3, formed in run's order, which
+        # the equivalent control reads
+        if not math.isfinite(self.amplitude * self.omega * self.omega * self.omega):
+            raise ValueError(
+                f"omega ({self.omega}) cubed times amplitude ({self.amplitude}) must be "
+                "finite: the reference jerk overflows"
+            )
         if self.supply_pressure_mode not in SUPPLY_MODES:
             raise ValueError(
                 f"supply_pressure_mode must be one of {SUPPLY_MODES}, "

@@ -27,6 +27,7 @@ from ehservo import (
 from ehservo.cli import write_csv
 from ehservo.sim import SERIES
 from test_fuzzy import ratio_form
+from test_properties import linear_plant_matrix
 
 
 def _report(name, ok, detail):
@@ -88,7 +89,7 @@ def test_fuzzy_oracle_equivalence():
 def test_coefficient_arithmetic():
     """Model coefficients and the rest-state input gain match the brute-force
     arithmetic script (high-precision decimal/fraction math, run beforehand)
-    to 10 significant digits."""
+    to 12 significant digits."""
     model = PlantParams(kv=1e-5)
     a0, a1, a2 = model_coefficients(model)
     b = input_gain_b(0.0, 0.0, 0.0, 1.0, model)
@@ -99,25 +100,21 @@ def test_coefficient_arithmetic():
         "b": (b, 762.2875788973453),
     }
     worst = max(abs(got - want) / abs(want) for got, want in expected.values())
-    ok = worst <= 1e-10
+    ok = worst <= 1e-12
     _report(
         "coefficient arithmetic", ok,
         f"a0={a0:.12g} a1={a1:.12g} a2={a2:.12g} b={b:.12g}, "
-        f"worst relative error {worst:.2e} (<= 1e-10)",
+        f"worst relative error {worst:.2e} (<= 1e-12)",
     )
     for name, (got, want) in expected.items():
-        assert got == pytest.approx(want, rel=1e-10), name
+        assert got == pytest.approx(want, rel=1e-12), name
 
 
 def test_integrator_order():
     """With zero input the plant is linear; against the matrix-exponential
     closed form the RK4 error shrinks at fourth order across the three rates."""
     p = PlantParams()
-    A = np.array([
-        [0.0, 1.0, 0.0],
-        [-p.K / p.Mt, -p.Bp / p.Mt, p.Ap / p.Mt],
-        [0.0, -4.0 * p.beta_e * p.Ap / p.Vt, -4.0 * p.beta_e * p.Ctp / p.Vt],
-    ])
+    A = linear_plant_matrix(p)
     x0 = np.array([0.05, 0.0, 0.0])
     T = 0.5
     errors = []

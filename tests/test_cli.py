@@ -44,21 +44,6 @@ def _short_run(**scenario_kwargs):
 
 
 class TestConfigResolution:
-    def test_empty_file_gives_defaults(self):
-        cfg = resolve_config(parse_kv(""))
-        assert cfg.plant.Ps == 7e6
-        assert cfg.plant.delta_l == -1.1
-        assert cfg.plant.delta_r == 0.9
-        assert cfg.controller.kappa == 1.0
-        assert cfg.controller.phi == 0.5
-        assert cfg.controller.lam == 8.0
-        assert cfg.controller.c0 == 64.0 and cfg.controller.c1 == 16.0
-        assert cfg.estimator.centers == (-0.50, -0.10, -0.05, 0.00, 0.05, 0.10, 0.50)
-        assert cfg.scenario.duration == 120.0
-        assert cfg.scenario.dt_plant == 1 / 800
-        assert cfg.scenario.dt_control == 1 / 400
-        assert cfg.scenario.amplitude == 0.5 and cfg.scenario.omega == 0.1
-
     def test_lambda_expansion(self):
         cfg = resolve_config(parse_kv("lambda = 8\n"))
         assert cfg.controller.c0 == 64.0 and cfg.controller.c1 == 16.0
@@ -66,20 +51,18 @@ class TestConfigResolution:
         assert cfg.controller.c0 == 25.0 and cfg.controller.c1 == 10.0
 
     # lambda = 1e200 is finite, but its square c0 is not
-    @pytest.mark.parametrize("value", ["0", "nan", "inf", "1e200"])
+    @pytest.mark.parametrize("value", ["0", "1e200"])
     def test_bad_lambda_named(self, value):
         with pytest.raises(ConfigError, match="^lambda"):
             resolve_config({"lambda": value})
-
-    def test_invalid_dead_zone_edge_named(self):
-        with pytest.raises(ConfigError, match="delta_l"):
-            resolve_config(parse_kv("delta_l = 0.5\n"))
 
     def test_unknown_key_named(self):
         # the controller's model is the plant: no key sets a copy of it
         for key in ("pressure_gain", *("model_" + key for key in _PLANT_SAMPLES)):
             with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'"):
                 resolve_config(parse_kv(f"{key} = -1\n"))
+            with pytest.raises(ConfigError, match=f"^unknown key '{key}'"):
+                resolve_config({key: "-1"})
 
     def test_removed_knobs_are_unknown_keys(self):
         # lambda alone sets the error polynomial, the monitor's bounds and
@@ -125,22 +108,6 @@ class TestConfigResolution:
         assert cfg.estimator.centers == (-1.0, 0.0, 1.0)
         assert cfg.estimator.d_hat == (0.25, 0.25, 0.25)
 
-    def test_consequent_length_mismatch(self):
-        with pytest.raises(ConfigError, match="d_hat"):
-            resolve_config(parse_kv("centers = -1, 0, 1\nd_hat_init = 1, 2\n"))
-
-    def test_scalar_consequent_broadcasts_over_default_grid(self):
-        cfg = resolve_config(parse_kv("d_hat_init = 0.5\n"))
-        assert cfg.estimator.d_hat == (0.5,) * 7
-
-    def test_non_finite_duration_rejected(self):
-        with pytest.raises(ConfigError, match="duration"):
-            resolve_config(parse_kv("duration = inf\n"))
-
-    def test_bad_rate_ratio_rejected(self):
-        with pytest.raises(ConfigError, match="integer multiple"):
-            resolve_config(parse_kv("dt_plant = 0.00125\ndt_control = 0.003\n"))
-
     def test_duplicate_key_names_both_lines(self):
         text = "kappa = 2\nphi = 1\nKAPPA = 3\n"
         with pytest.raises(ConfigError, match=r"line 3: duplicate key 'kappa', first set on line 1"):
@@ -152,9 +119,6 @@ _PLANT_SAMPLES = {
     "beta_e": "8e8", "vt": "5e-5", "mt": "240", "bp": "90", "k": "70",
     "delta_l": "-1.0", "delta_r": "0.8", "kv": "2.2e-6",
 }
-
-# Keys that once set the controller's model apart from the plant
-_FORMER_MODEL_KEYS = ["model_" + key for key in _PLANT_SAMPLES if key not in ("delta_l", "delta_r")]
 
 # One valid, non-default value per config key
 NON_DEFAULT = {
@@ -199,14 +163,11 @@ class TestSchema:
         assert resolve_config(parse_kv(dumped)) == cfg
 
     @pytest.mark.parametrize("key", sorted(
-        [key for key, (_, _, kind) in _SCHEMA.items() if kind in (_NUMBER, _NUMBERS)]
-        + _FORMER_MODEL_KEYS
+        key for key, (_, _, kind) in _SCHEMA.items() if kind in (_NUMBER, _NUMBERS)
     ))
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_number_named(self, key, value):
-        # a former model_* key is refused by name as unknown, never dropped
-        message = f"^unknown key '{key}'" if key in _FORMER_MODEL_KEYS else rf"^{key}\b"
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=rf"^{key}\b"):
             resolve_config({key: value})
 
     def test_every_field_reachable_from_a_key(self):
@@ -223,17 +184,17 @@ class TestSchema:
         assert expected - reached == set()
 
 
-# SHA-256 of the CSVs of `ehservo run --out`, `--scenario varying-ps` and
-# `--freeze-adaptation`: the byte-identity yardstick of every kernel change.
-# The series go through libm's sin and cos, so another platform's libm can
-# change a digest; the failure message names the platform.
+# SHA-256 of the CSV of `ehservo run --out`: the byte-identity yardstick of
+# every kernel change. The series go through libm's sin and cos, so another
+# platform's libm can change a digest; the failure message names the platform.
+# write_csv does not depend on the run's mode, so the other two runs are pinned
+# by their series alone.
 YARDSTICK_SHA256 = {
     "default_run": "571f82736373ee1eab7919627951cc6805f4c4cf4fbad5da78ad4d97fe1a25f1",
-    "varying_run": "c8903c1e175f3e7565b310fc91e1f85c31135d73b95988cf917b63cc1fe4a9f2",
-    "frozen_run": "ec3becb37b2d37413d6722430dc5c76457e2bd377fd7b4f11360f216d5daa046",
 }
-# SHA-256 of the same runs' SERIES arrays at full precision (tobytes() in
-# SERIES order): the CSV's 12 digits miss a change in the last bits
+# SHA-256 of the SERIES arrays at full precision (tobytes() in SERIES order) of
+# that run, `--scenario varying-ps` and `--freeze-adaptation`: the CSV's 12
+# digits miss a change in the last bits
 SERIES_SHA256 = {
     "default_run": "c4bf8b6989fbc7aed4e803dc798155af4605465c74dd43c62fc09257394c43e5",
     "varying_run": "6550501087ed2b6fc19f3c1df9d32d19dacd7ce5e350087f321da1ccfef2b5d7",
@@ -268,7 +229,8 @@ class TestCsv:
         assert path.read_bytes() == (CSV_HEADER + "\n").encode()
 
     def test_round_trip_precision(self, tmp_path):
-        res = _short_run()
+        # on varying supply every column, Ps included, carries 12 digits
+        res = _short_run(supply_pressure_mode="varying")
         path = tmp_path / "run.csv"
         write_csv(res, path)
         parsed = np.genfromtxt(path, delimiter=",", names=True)
@@ -470,12 +432,9 @@ class TestMain:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["constant_ps.csv", "constant_ps_frozen.csv", "varying_ps.csv"]
 
-    # 0.001 s is shorter than one control period, so the run would have no
-    # rows, and 0.0075 s shorter than four, so a scored quarter would have
-    # none; 1e308 s holds more control periods than a float can count, and
-    # 1e300 s and 2.5e15 s more than the run's row buffer can index
-    @pytest.mark.parametrize("value", ["abc", "-1", "nan", "0.001", "0.0075", "1e308",
-                                       "1e300", "2.5e15"])
+    # the flag goes through the duration key's parsing and checks, which
+    # test_non_finite_number_named and test_sim's test_bad_duration cover
+    @pytest.mark.parametrize("value", ["abc", "-1"])
     def test_bad_duration_flag_is_config_error(self, value, capsys):
         assert main(["run", "--duration", value]) == 1
         err = capsys.readouterr().err
@@ -496,10 +455,10 @@ class TestMain:
         assert "freeze_adaptation = true" in out
 
     # an empty --out or --batch would run and write no CSV; finite, positive
-    # plant constants whose products underflow leave the model no input gain,
-    # and a reference phase omega*t that overflows would reach sin(inf)
+    # plant constants whose products underflow leave the model no input gain;
+    # a reference phase omega*t that overflows would reach sin(inf), and a
+    # reference jerk amplitude*omega**3 that overflows a non-finite control
     @pytest.mark.parametrize("line, flags, error", [
-        ("monitor_window = nan", [], "config error: monitor_window"),
         ("kappa = inf", [], "config error: kappa"),
         ("", ["--out", ""], "config error: --out "),
         ("", ["--batch", ""], "config error: --batch "),
@@ -507,8 +466,9 @@ class TestMain:
         ("cd = 1e-200\nkv = 1e-200", [], "config error: kv "),
         ("cd = 1e-150\nkv = 1e-150\nrho = 1e300", [], "config error: kv "),
         ("amplitude = 0\nomega = 1e308", ["--duration", "2"], "config error: omega "),
-    ], ids=["monitor_window", "kappa", "out_flag", "batch_flag", "vt_mt", "cd_kv",
-            "gain_floor", "omega"])
+        ("omega = 1e103", ["--duration", "1"], "config error: omega "),
+    ], ids=["kappa", "out_flag", "batch_flag", "vt_mt", "cd_kv", "gain_floor", "omega",
+            "omega_jerk"])
     def test_bad_value_rejected_before_run(self, line, flags, error, tmp_path, capsys,
                                            no_run):
         cfg = _write(tmp_path, line + "\n")

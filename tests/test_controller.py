@@ -1,7 +1,5 @@
 """Controller: model coefficients, input gain, combined error, control law."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -36,17 +34,15 @@ class TestParamsValidation:
         assert cp.lam == 8.0 and cp.c0 == 64.0 and cp.c1 == 16.0
         assert cp.kappa == 1.0 and cp.phi == 0.5
 
-    # lam = 1e200 is finite, but its square c0 is not; 1e-170 is positive,
-    # but its square underflows to 0
-    @pytest.mark.parametrize("kwargs", [
-        dict(lam=0.0), dict(lam=-2.0), dict(kappa=0.0), dict(phi=0.0),
-        dict(lam=math.inf), dict(lam=1e200), dict(kappa=math.inf), dict(phi=math.inf),
-        dict(lam=1e-170),
+    # lam = 1e-170 is positive, but its square underflows to 0. A zero, infinite
+    # or overflowing lam and an infinite kappa or phi are config cases of
+    # test_cli.py, which also name the key
+    @pytest.mark.parametrize("name, value", [
+        ("lam", -2.0), ("kappa", 0.0), ("phi", 0.0), ("lam", 1e-170),
     ])
-    def test_positivity(self, kwargs, model):
-        (name,) = kwargs
+    def test_positivity(self, name, value, model):
         with pytest.raises(ValueError, match=name):
-            ControllerParams(**kwargs, model=model)
+            ControllerParams(**{name: value}, model=model)
 
     def test_model_has_no_default(self):
         # the plant a controller models is always the caller's choice
@@ -59,13 +55,7 @@ class TestParamsValidation:
 
 
 class TestModelCoefficients:
-    def test_nominal_values(self, model):
-        # frozen from independent decimal arithmetic
-        a0, a1, a2 = model_coefficients(model)
-        assert a0 == pytest.approx(28.0, rel=1e-12)
-        assert a1 == pytest.approx(16837.633333333333, rel=1e-12)
-        assert a2 == pytest.approx(93.73333333333333, rel=1e-12)
-
+    # the nominal values are test_acceptance.py's test_coefficient_arithmetic
     def test_degenerate_terms_vanish(self):
         m = PlantParams(Ctp=0.0, K=0.0, Bp=0.0)
         a0, a1, a2 = model_coefficients(m)
@@ -74,11 +64,7 @@ class TestModelCoefficients:
 
 
 class TestInputGain:
-    def test_rest_value(self, model):
-        # 5.6e7 * 0.6 * 0.025 * 1e-5 * sqrt(7e6/850), frozen from decimal arithmetic
-        b = input_gain_b(0.0, 0.0, 0.0, 1.0, model)
-        assert b == pytest.approx(762.2875788973453, rel=1e-12)
-
+    # the rest value is test_acceptance.py's test_coefficient_arithmetic
     def test_sign_irrelevant_at_rest(self, model):
         bs = {input_gain_b(0.0, 0.0, 0.0, s, model) for s in (-1.0, 0.0, 1.0)}
         assert len(bs) == 1

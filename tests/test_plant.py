@@ -43,10 +43,6 @@ class TestParamsValidation:
         with pytest.raises(ValueError, match="delta_r"):
             PlantParams(delta_r=-0.5)
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="Ps"):
-            PlantParams(Ps=math.inf)
-
 
 class TestLoadFlow:
     def test_centered_spool_no_flow(self, params):

@@ -100,6 +100,16 @@ def test_dead_zone_identity(delta_l, delta_r, kv, u):
 LINEAR_FIELDS = ("Ap", "Ctp", "beta_e", "Vt", "Mt", "Bp", "K")
 
 
+def linear_plant_matrix(p):
+    """A of s' = A s, the plant with its spool shut: u inside the dead band."""
+    g = 4.0 * p.beta_e / p.Vt
+    return np.array([
+        [0.0, 1.0, 0.0],
+        [-p.K / p.Mt, -p.Bp / p.Mt, p.Ap / p.Mt],
+        [0.0, -g * p.Ap, -g * p.Ctp],
+    ])
+
+
 @PROPERTY
 @given(
     st.lists(st.floats(-1.0, 1.0), min_size=len(LINEAR_FIELDS), max_size=len(LINEAR_FIELDS)),
@@ -112,12 +122,7 @@ def test_rk4_step_of_a_linear_plant(exponents, h_rho, x, v, PL):
     p = PlantParams(Ps=1e30, **{
         name: getattr(base, name) * 10.0**k for name, k in zip(LINEAR_FIELDS, exponents)
     })
-    g = 4.0 * p.beta_e / p.Vt
-    A = np.array([
-        [0.0, 1.0, 0.0],
-        [-p.K / p.Mt, -p.Bp / p.Mt, p.Ap / p.Mt],
-        [0.0, -g * p.Ap, -g * p.Ctp],
-    ])
+    A = linear_plant_matrix(p)
     dt = h_rho / max(abs(np.linalg.eigvals(A)))
     s0 = np.array([x, v, PL])
     s = rk4_step(PlantState(x, v, PL), 0.0, dt, p)

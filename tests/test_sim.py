@@ -73,11 +73,6 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="supply_pressure_mode"):
             Scenario(supply_pressure_mode="wobbly")
 
-    def test_non_finite_initial_state(self):
-        for name in ("x", "v", "PL"):
-            with pytest.raises(ValueError, match=f"^{name} must be finite"):
-                Scenario(initial_state=PlantState(**{name: math.inf}))
-
 
 class TestReference:
     def test_at_zero(self):
@@ -176,14 +171,6 @@ class TestRunMechanics:
         sc = Scenario(duration=5.0, dt_plant=1 / 2000, supply_pressure_mode=mode)
         assert sc.substeps == 5
         assert_run_replays(sc, plant, cp, FuzzyEstimator())
-
-    def test_blow_up_carries_time(self):
-        plant = PlantParams()
-        cp = ControllerParams(model=plant)
-        sc = Scenario(duration=2.0, initial_state=PlantState(1e306, 0.0, 0.0))
-        with pytest.raises(BlowUpError) as err:
-            run(sc, plant, cp, FuzzyEstimator())
-        assert err.value.time is not None
 
     def test_blow_up_inside_substeps_carries_period_start(self):
         # a huge initial velocity passes the controller's checks and
@@ -399,15 +386,11 @@ def _monitor_report(e, uhat=None, dhat=None, centers=DEFAULT_CENTERS,
 
 
 class TestMonitorParamsValidation:
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"window": math.nan}, "window"),
-        ({"window": -5.0}, "window"),
-        ({"window": 0.0}, "window"),
-        ({"window": math.inf}, "window"),
-    ])
-    def test_rejects(self, kwargs, name):
-        with pytest.raises(ValueError, match=name):
-            MonitorParams(**kwargs)
+    # the non-finite windows are config cases of test_cli.py
+    @pytest.mark.parametrize("window", [-5.0, 0.0])
+    def test_rejects(self, window):
+        with pytest.raises(ValueError, match="window"):
+            MonitorParams(window=window)
 
 
 class TestStabilityMonitor:
