@@ -1,67 +1,61 @@
-"""Shared fixtures: the long closed-loop runs are session-scoped because several
-test modules score the same three 120 s scenarios."""
+"""Shared fixtures: the closed-loop runs are session-scoped because several
+test modules score the same scenarios.
+
+The default settings are simulated once, for 260 s. Nothing in the loop reads
+n_steps, so a run is a bit-for-bit prefix of any longer run with the same
+settings: the default 120 s run is the first Scenario().n_steps rows of the
+260 s one, which test_determinism_byte_identical_csv holds to a fresh run."""
 
 import math
 import time
 
 import pytest
 
-from ehservo import ControllerParams, FuzzyEstimator, MonitorParams, PlantParams, Scenario, run
-from reference import assert_run_replays
+from ehservo import ControllerParams, FuzzyEstimator, MonitorParams, PlantParams, Scenario
+from ehservo import sim
+from ehservo.sim import SERIES, SimResult
+from reference import assert_run_replays, nominal_run
 
 
 @pytest.fixture(scope="session")
-def nominal_plant():
-    return PlantParams()
-
-
-@pytest.fixture(scope="session")
-def nominal_controller(nominal_plant):
-    return ControllerParams(model=nominal_plant)
-
-
-@pytest.fixture(scope="session")
-def zero_estimator():
-    return FuzzyEstimator()
-
-
-@pytest.fixture(scope="session")
-def default_run(nominal_plant, nominal_controller, zero_estimator):
-    """Default 120 s constant-supply run plus its wall-clock time."""
+def long_run():
+    """Constant-supply run of 260 s plus its wall-clock time, its monitor
+    windows one period of the 62.8 s reference: after the 25% transient it
+    still holds three of them."""
+    scenario = Scenario(duration=260.0)
     start = time.perf_counter()
-    result = run(Scenario(), nominal_plant, nominal_controller, zero_estimator)
-    elapsed = time.perf_counter() - start
-    return result, elapsed
+    result = nominal_run(scenario, monitor=MonitorParams(window=2.0 * math.pi / scenario.omega))
+    return result, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
-def default_reference(nominal_plant, nominal_controller, zero_estimator, default_run):
+def default_run(long_run):
+    """The default 120 s constant-supply run: the first Scenario().n_steps rows
+    of long_run, scored as run scores the default run."""
+    sc = Scenario()
+    series = {name: getattr(long_run[0], name)[:sc.n_steps] for name in SERIES}
+    metrics, monitor = sim._compute_metrics(series, sc.dt_control, FuzzyEstimator().centers,
+                                            MonitorParams())
+    return SimResult(**series, metrics=metrics, monitor=monitor)
+
+
+@pytest.fixture(scope="session")
+def default_reference(default_run):
     """The reference loop's replay of the default run, which the run must
     equal bit for bit; it carries the gain and consequents of every step."""
-    return assert_run_replays(Scenario(), nominal_plant, nominal_controller, zero_estimator,
-                              default_run[0])
+    plant = PlantParams()
+    return assert_run_replays(Scenario(), plant, ControllerParams(model=plant),
+                              FuzzyEstimator(), default_run)
 
 
 @pytest.fixture(scope="session")
-def varying_run(nominal_plant, nominal_controller, zero_estimator):
+def varying_run():
     """Same scenario with the supply pressure Ps*(1 + 0.2*sin x): about +/-9.6%
     over the |x| <= 0.5 m the reference spans."""
-    scenario = Scenario(supply_pressure_mode="varying")
-    return run(scenario, nominal_plant, nominal_controller, zero_estimator)
+    return nominal_run(Scenario(supply_pressure_mode="varying"))
 
 
 @pytest.fixture(scope="session")
-def frozen_run(nominal_plant, nominal_controller, zero_estimator):
+def frozen_run():
     """Ablation: adaptation disabled, compensation forced to zero."""
-    scenario = Scenario(freeze_adaptation=True)
-    return run(scenario, nominal_plant, nominal_controller, zero_estimator)
-
-
-@pytest.fixture(scope="session")
-def long_run(nominal_plant, nominal_controller, zero_estimator):
-    """Constant-supply run of 260 s, its monitor windows one period of the
-    62.8 s reference: after the 25% transient it still holds three of them."""
-    scenario = Scenario(duration=260.0)
-    period = 2.0 * math.pi / scenario.omega
-    return run(scenario, nominal_plant, nominal_controller, zero_estimator,
-               MonitorParams(window=period))
+    return nominal_run(Scenario(freeze_adaptation=True))

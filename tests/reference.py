@@ -15,6 +15,7 @@ from ehservo import (
     BlowUpError,
     ControllerParams,
     FuzzyEstimator,
+    MonitorParams,
     PlantParams,
     Scenario,
     SimResult,
@@ -125,3 +126,10 @@ def assert_run_replays(sc: Scenario, plant: PlantParams, cp: ControllerParams,
         differ = np.flatnonzero(got != reference.series[name].view(np.uint64))
         assert differ.size == 0, f"{name} differs at {differ.size} samples, first {differ[0]}"
     return reference
+
+
+def nominal_run(sc: Scenario, est: FuzzyEstimator = FuzzyEstimator(),
+                monitor: MonitorParams = MonitorParams()) -> SimResult:
+    """run on the default plant, which is also the controller's model."""
+    plant = PlantParams()
+    return run(sc, plant, ControllerParams(model=plant), est, monitor)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ehservo
-from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario, run
+from ehservo import ControllerParams, PlantParams, Scenario
 from ehservo.cli import (
     CSV_HEADER,
     _NUMBER,
@@ -28,6 +28,7 @@ from ehservo.cli import (
     write_csv,
 )
 from ehservo.sim import SERIES, MonitorParams, MonitorReport, SimMetrics, SimResult
+from reference import nominal_run
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -37,10 +38,7 @@ def _write(tmp_path, text, name="run.cfg"):
 
 
 def _short_run(**scenario_kwargs):
-    plant = PlantParams()
-    cp = ControllerParams(model=plant)
-    sc = Scenario(**{"duration": 2.0, **scenario_kwargs})
-    return run(sc, plant, cp, FuzzyEstimator())
+    return nominal_run(Scenario(**{"duration": 2.0, **scenario_kwargs}))
 
 
 class TestConfigResolution:
@@ -206,11 +204,6 @@ SERIES_SHA256 = {
 }
 
 
-def _fixture_result(request, fixture):
-    result = request.getfixturevalue(fixture)
-    return result[0] if fixture == "default_run" else result  # (result, wall time)
-
-
 def _platform():
     return (f"{platform.platform()} ({platform.machine()}, libc "
             f"{' '.join(platform.libc_ver())}, Python {platform.python_version()}, "
@@ -245,7 +238,7 @@ class TestCsv:
     @pytest.mark.parametrize("fixture", list(YARDSTICK_SHA256))
     def test_default_runs_keep_their_digests(self, fixture, request, tmp_path):
         path = tmp_path / "run.csv"
-        write_csv(_fixture_result(request, fixture), path)
+        write_csv(request.getfixturevalue(fixture), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == YARDSTICK_SHA256[fixture], (
             f"{fixture} CSV hashes to {digest} on {_platform()}"
@@ -253,7 +246,7 @@ class TestCsv:
 
     @pytest.mark.parametrize("fixture", list(SERIES_SHA256))
     def test_default_runs_keep_their_series_digests(self, fixture, request):
-        result = _fixture_result(request, fixture)
+        result = request.getfixturevalue(fixture)
         digest = hashlib.sha256()
         for name in SERIES:
             digest.update(getattr(result, name).tobytes())

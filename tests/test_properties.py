@@ -1,6 +1,7 @@
 """Property tests over random inputs: the fuzzy basis, the consequent update,
 the dead-zone decomposition, one RK4 step of a linear plant, the closed loop
-against its public layer functions and the config round trip.
+against its public layer functions, the plant's jerk against the controller's
+model and the config round trip.
 
 Every test is derandomized with a bounded number of examples, so the suite
 stays deterministic and quick.
@@ -20,11 +21,16 @@ from ehservo import (
     PlantParams,
     PlantState,
     Scenario,
+    acceleration,
     adapt,
     dead_zone_d,
     dead_zone_output,
+    input_gain_b,
     membership,
+    model_coefficients,
+    plant_derivatives,
     rk4_step,
+    sgn,
 )
 from ehservo.cli import config_dump, parse_kv, resolve_config
 from ehservo.sim import SUPPLY_MODES
@@ -146,34 +152,51 @@ def test_rk4_step_of_a_linear_plant(exponents, h_rho, x, v, PL):
 # PlantParams fields scaled by 10**k: the pressure dynamics (Ps, kv, beta_e,
 # Vt) reach the clamp and the EPS_CAV floor; the load sets how fast x moves
 PLANT_FIELDS = ("Ps", "kv", "beta_e", "Vt", "Mt", "Ap", "Bp", "K", "Ctp")
+plants = st.lists(
+    st.floats(-1.0, 1.0), min_size=len(PLANT_FIELDS), max_size=len(PLANT_FIELDS)
+).map(lambda ks: PlantParams(**{
+    name: getattr(PlantParams(), name) * 10.0**k for name, k in zip(PLANT_FIELDS, ks)
+}))
 
 
 @PROPERTY
 @given(
-    st.lists(st.floats(-1.0, 1.0), min_size=len(PLANT_FIELDS), max_size=len(PLANT_FIELDS)),
-    st.sampled_from(SUPPLY_MODES), st.booleans(),
+    plants, st.sampled_from(SUPPLY_MODES), st.booleans(),
     st.floats(-0.5, 0.5), st.floats(-1.0, 1.0), st.floats(-1.5, 1.5), st.floats(0.1, 20.0),
     positive,
 )
 # a consequent overflows at t = 0 and blows the run up once its rule fires
-@example([0.0] * len(PLANT_FIELDS), "constant", False, 100.0, 0.0, 0.0, 0.1, 1e308)
-def test_run_equals_its_layer_functions(exponents, mode, frozen, x, v, PL_ratio, omega, phi):
+@example(PlantParams(), "constant", False, 100.0, 0.0, 0.0, 0.1, 1e308)
+def test_run_equals_its_layer_functions(plant, mode, frozen, x, v, PL_ratio, omega, phi):
     # run's fused kernel against the reference loop of the public functions
     # it inlines: the same rows bit for bit, or the same BlowUpError message
     # at the same time.
     # The initial load pressure reaches past the supply pressure, so the
     # first substeps hit the clamp, and with the spool opening toward it the
     # orifice drop falls to the floor.
-    base = PlantParams()
-    plant = PlantParams(**{
-        name: getattr(base, name) * 10.0**k for name, k in zip(PLANT_FIELDS, exponents)
-    })
     cp = ControllerParams(phi=phi, model=plant)
     sc = Scenario(
         duration=0.25, omega=omega, supply_pressure_mode=mode, freeze_adaptation=frozen,
         initial_state=PlantState(x, v, PL_ratio * plant.Ps),
     )
     assert_run_replays(sc, plant, cp, FuzzyEstimator())
+
+
+@PROPERTY
+@given(plants, st.floats(-0.5, 0.5), st.floats(-0.1, 0.1), st.floats(-0.9, 0.9),
+       st.floats(-5.0, 5.0))
+def test_plant_jerk_is_the_controller_model(p, x, v, PL_ratio, u):
+    # the controller's reduced model x''' = -a0 x - a1 x' - a2 x'' + b (u - d(u))
+    # is the jerk of plant_derivatives, away from the EPS_CAV floor (|PL| <= 0.9 Ps);
+    # the gap is measured against the largest term, since the terms cancel
+    s = PlantState(x, v, PL_ratio * p.Ps)
+    dx, dv, dPL = plant_derivatives(s, u, p)
+    jerk = (p.Ap * dPL - p.Bp * dv - p.K * dx) / p.Mt
+    a0, a1, a2 = model_coefficients(p)
+    acc = acceleration(s, p)
+    terms = (-a0 * x, -a1 * v, -a2 * acc,
+             input_gain_b(x, v, acc, sgn(u), p) * (u - dead_zone_d(u, p)))
+    assert abs(jerk - sum(terms)) <= 1e-12 * max(map(abs, terms))
 
 
 @PROPERTY

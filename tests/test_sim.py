@@ -29,7 +29,7 @@ from ehservo import (
 from ehservo import sim
 from ehservo.sim import SERIES, SUPPLY_MODES
 from lyapunov import lyapunov_series
-from reference import assert_run_replays, reference_run
+from reference import assert_run_replays, nominal_run, reference_run
 
 # a dead band that holds every finite voltage: the spool never opens
 SHUT_SPOOL = replace(
@@ -108,12 +108,12 @@ class TestSupplyPressure:
         with pytest.raises(ValueError):
             supply_pressure("off", 0.0, 7e6)
 
-    def test_varying_run_swings_under_ten_percent(self, varying_run, nominal_plant):
+    def test_varying_run_swings_under_ten_percent(self, varying_run):
         # Ps*(1 + 0.2*sin x) over |x| <= 0.5 m swings by about +/-9.6%, both ways
-        Ps = varying_run.Ps
-        swing = float(np.max(np.abs(Ps / nominal_plant.Ps - 1.0)))
+        Ps, nominal = varying_run.Ps, PlantParams().Ps
+        swing = float(np.max(np.abs(Ps / nominal - 1.0)))
         assert 0.09 < swing < 0.1
-        assert Ps.min() < nominal_plant.Ps < Ps.max()
+        assert Ps.min() < nominal < Ps.max()
 
 
 class TestRK4Step:
@@ -151,10 +151,7 @@ class TestRK4Step:
 
 class TestRunMechanics:
     def test_equilibrium_is_invariant(self):
-        plant = PlantParams()
-        cp = ControllerParams(model=plant)
-        sc = Scenario(duration=2.0, amplitude=0.0)
-        res = run(sc, plant, cp, FuzzyEstimator())
+        res = nominal_run(Scenario(duration=2.0, amplitude=0.0))
         assert np.all(res.x == 0.0)
         assert np.all(res.u == 0.0)
         assert np.all(res.uhat == 0.0)
@@ -175,11 +172,8 @@ class TestRunMechanics:
     def test_blow_up_inside_substeps_carries_period_start(self):
         # a huge initial velocity passes the controller's checks and
         # overflows inside the RK4 stages of the third control period
-        plant = PlantParams()
-        cp = ControllerParams(model=plant)
-        sc = Scenario(duration=2.0, initial_state=PlantState(0.0, 1e150, 0.0))
         with pytest.raises(BlowUpError) as err:
-            run(sc, plant, cp, FuzzyEstimator())
+            nominal_run(Scenario(duration=2.0, initial_state=PlantState(0.0, 1e150, 0.0)))
         assert type(err.value) is BlowUpError
         assert err.value.time == 0.005
         message = str(err.value)
@@ -249,14 +243,11 @@ class TestRunMechanics:
         # SimResult without a copy: run's peak traced allocation stays within
         # twice that (measured ~120 bytes a row; lists of boxed floats cost
         # ~450)
-        plant = PlantParams()
-        cp = ControllerParams(model=plant)
         sc = Scenario(duration=2.0)
-        est = FuzzyEstimator()
-        run(sc, plant, cp, est)  # imports and first-call set-up
+        nominal_run(sc)  # imports and first-call set-up
         tracemalloc.start()
         try:
-            res = run(sc, plant, cp, est)
+            res = nominal_run(sc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,22 +272,18 @@ class TestRunMechanics:
             assert rms == pytest.approx(math.hypot(*seg.tolist()) / math.sqrt(seg.size),
                                         rel=1e-12)
         # where the squares do not overflow, each RMS keeps its plain bits
-        for rms, seg in _rms_and_segments(default_run[0], 4000):
+        for rms, seg in _rms_and_segments(default_run, 4000):
             assert rms == float(np.sqrt(np.mean(seg * seg)))
 
     def test_results_compare_by_identity(self):
         # a result holds arrays, so it compares and hashes as the one object it is
-        plant = PlantParams()
-        cp = ControllerParams(model=plant)
-        sc = Scenario(duration=0.01)
-        a, b = (run(sc, plant, cp, FuzzyEstimator()) for _ in range(2))
+        a, b = (nominal_run(Scenario(duration=0.01)) for _ in range(2))
         assert a == a
         assert a != b
         assert hash(a) == hash(a)
 
     def test_pressure_stays_within_supply(self, default_run):
-        result, _ = default_run
-        assert np.all(np.abs(result.PL) <= result.Ps)
+        assert np.all(np.abs(default_run.PL) <= default_run.Ps)
 
 
 def _rms_and_segments(res, w):
@@ -449,21 +436,17 @@ class TestStabilityMonitor:
     def test_window_too_long_to_count_scores_zero_windows(self):
         # window / dt_control overflows an int; it scores like any window
         # longer than the run
-        plant = PlantParams()
-        cp = ControllerParams(model=plant)
         sc = Scenario(duration=1.0)
-        huge = run(sc, plant, cp, FuzzyEstimator(), MonitorParams(window=1e308))
+        huge = nominal_run(sc, monitor=MonitorParams(window=1e308))
         assert huge.monitor.window_rms == ()
-        long = run(sc, plant, cp, FuzzyEstimator(), MonitorParams(window=1000.0))
+        long = nominal_run(sc, monitor=MonitorParams(window=1000.0))
         assert huge.monitor == long.monitor
 
     def test_run_scores_with_its_grid(self):
         # run's report is its scorer's on its series and its estimator's own
         # grid, which here flags different samples than the default grid
-        plant = PlantParams()
-        cp = ControllerParams(model=plant)
         est = FuzzyEstimator((-0.5, -0.2, 0.0, 0.2, 0.5))
-        res = run(Scenario(duration=15.0, omega=0.5), plant, cp, est)
+        res = nominal_run(Scenario(duration=15.0, omega=0.5), est)
         series = vars(res)
         assert res.monitor == sim._compute_metrics(series, 0.0025, est.centers,
                                                    MonitorParams())[1]
@@ -472,18 +455,14 @@ class TestStabilityMonitor:
 
 
 class TestClosedLoopProperties:
-    def test_temporal_convergence_on_plant_rate(self, nominal_plant, nominal_controller,
-                                                zero_estimator, default_run):
+    def test_temporal_convergence_on_plant_rate(self, default_run):
         # halving dt_plant moves the final-quarter RMS tracking error by < 1%
-        base, _ = default_run
-        fine = run(Scenario(dt_plant=1 / 1600), nominal_plant, nominal_controller,
-                   zero_estimator)
-        a = base.metrics.rms_xerr_final_quarter
+        fine = nominal_run(Scenario(dt_plant=1 / 1600))
+        a = default_run.metrics.rms_xerr_final_quarter
         b = fine.metrics.rms_xerr_final_quarter
         assert abs(b - a) / a < 0.01
 
-    def test_e2_decrease_fraction(self, default_run, default_reference, nominal_plant,
-                                  nominal_controller, zero_estimator):
+    def test_e2_decrease_fraction(self, default_run, default_reference):
         """The energy argument of the control law: its Lyapunov function
         V = e^2/(2b) + |theta - theta*|^2/(2 phi) is non-increasing in at least
         99% of the post-transient samples with |e| >= 1e-3.
@@ -495,16 +474,16 @@ class TestClosedLoopProperties:
         leaving |e| near a1*A*omega^2*dt_control/(2*b*kappa), about 7e-4.
         Below it the sign of a one-sample change in V says nothing of the law.
         """
-        result, _ = default_run
-        cp = nominal_controller
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
         sc = Scenario()
-        V = lyapunov_series(default_reference, zero_estimator.centers, nominal_plant, cp.phi)
+        V = lyapunov_series(default_reference, FuzzyEstimator().centers, plant, cp.phi)
         floor = (model_coefficients(cp.model)[1] * sc.amplitude * sc.omega**2
                  * sc.dt_control / (2.0 * input_gain_b(0.0, 0.0, 0.0, 0.0, cp.model)
                                     * cp.kappa))
         threshold = 1e-3
         i0 = max(1, len(V) // 4)
-        counted = np.abs(result.e[i0:]) >= threshold
+        counted = np.abs(default_run.e[i0:]) >= threshold
         frac = float(np.mean(V[i0:][counted] <= V[i0 - 1:-1][counted]))
         print(f"\n  V non-increase fraction (post-transient, |e| >= {threshold:g}, "
               f"sampled-data floor {floor:.2g}): {frac:.4f} over {counted.sum()} samples")
@@ -514,17 +493,18 @@ class TestClosedLoopProperties:
     @pytest.mark.parametrize("kappa, rate, product, blows_up", [
         (6.0, 400, 2.29, False), (7.0, 400, 2.67, True), (7.0, 800, 1.33, False),
     ], ids=["6-at-400Hz", "7-at-400Hz", "7-at-800Hz"])
-    def test_kappa_ceiling_doubles_with_rate(self, nominal_plant, kappa, rate, product, blows_up):
+    def test_kappa_ceiling_doubles_with_rate(self, kappa, rate, product, blows_up):
         """One held control period scales e by about 1 - kappa*b0*dt_control, so
         the ceiling in kappa, near kappa*b0*dt_control = 2, doubles with the rate."""
-        b0 = input_gain_b(0.0, 0.0, 0.0, 1.0, nominal_plant)
+        plant = PlantParams()
+        b0 = input_gain_b(0.0, 0.0, 0.0, 1.0, plant)
         assert round(b0, 2) == 152.46
         assert round(kappa * b0 / rate, 2) == product
         sc = Scenario(duration=20.0, dt_plant=0.5 / rate, dt_control=1.0 / rate)
-        cp = ControllerParams(kappa=kappa, model=nominal_plant)
+        cp = ControllerParams(kappa=kappa, model=plant)
         if blows_up:
             with pytest.raises(BlowUpError) as err:
-                run(sc, nominal_plant, cp, FuzzyEstimator())
+                run(sc, plant, cp, FuzzyEstimator())
             assert err.value.time < 1.0
         else:
-            assert run(sc, nominal_plant, cp, FuzzyEstimator()).t[-1] > 19.9
+            assert run(sc, plant, cp, FuzzyEstimator()).t[-1] > 19.9
