@@ -9,11 +9,11 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, NamedTuple, get_type_hints
 
 from .controller import ControllerParams, input_gain_b
 from .fuzzy import FuzzyEstimator
-from .plant import BlowUpError, PlantParams, PlantState
+from .plant import BlowUpError, PlantParams
 from .sim import SERIES as CSV_COLUMNS
 from .sim import MONITOR_E_THRESHOLD, MonitorParams, Scenario, SimResult, run
 
@@ -51,27 +51,34 @@ _NUMBERS = _Kind(
 _BOOL = _Kind("a boolean", _parse_bool, lambda value: str(value).lower())
 _TEXT = _Kind("text", str, str)
 
-# The one config schema, in dump order: key -> (target, field, kind). The target
-# names the object that holds the field (see config_dump), and each plant key is
-# its PlantParams field in lower case. Unset fields keep their dataclass's default.
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Fully resolved configuration of one run."""
+
+    plant: PlantParams
+    controller: ControllerParams
+    estimator: FuzzyEstimator
+    scenario: Scenario
+    monitor: MonitorParams
+
+
+# how each field type reads and prints (the dataclasses' annotations are strings)
+_KINDS = {"float": _NUMBER, "tuple[float, ...]": _NUMBERS, "bool": _BOOL, "str": _TEXT}
+# the config keys that are not their field's name in lower case
+_RENAMES = {"lam": "lambda", "d_hat": "d_hat_init", "window": "monitor_window"}
+
+# The one config schema, in dump order: key -> (part, field, kind), one key per
+# field of each RunConfig part, the controller's model aside: the CLI sets it
+# to the plant. Unset fields keep their dataclass's default.
 _SCHEMA: dict[str, tuple[str, str, _Kind]] = {
-    **{f.name.lower(): ("plant", f.name, _NUMBER) for f in fields(PlantParams)},
-    "lambda": ("controller", "lam", _NUMBER),
-    **{key: ("controller", key, _NUMBER) for key in ("kappa", "phi")},
-    "centers": ("estimator", "centers", _NUMBERS),
-    "d_hat_init": ("estimator", "d_hat", _NUMBERS),
-    **{key: ("scenario", key, _NUMBER)
-       for key in ("duration", "dt_plant", "dt_control", "amplitude", "omega")},
-    "supply_pressure_mode": ("scenario", "supply_pressure_mode", _TEXT),
-    "x0": ("initial_state", "x", _NUMBER),
-    "v0": ("initial_state", "v", _NUMBER),
-    "pl0": ("initial_state", "PL", _NUMBER),
-    "freeze_adaptation": ("scenario", "freeze_adaptation", _BOOL),
-    "monitor_window": ("monitor", "window", _NUMBER),
+    _RENAMES.get(f.name, f.name.lower()): (part, f.name, _KINDS[f.type])
+    for part, cls in get_type_hints(RunConfig).items()
+    for f in fields(cls) if f.name != "model"
 }
 
-# (target, field) -> config key, the name a rejected value is reported by
-_KEYS = {(target, field): key for key, (target, field, _) in _SCHEMA.items()}
+# (part, field) -> config key, the name a rejected value is reported by
+_KEYS = {(part, field): key for key, (part, field, _) in _SCHEMA.items()}
 
 # --scenario names -> supply_pressure_mode values
 _SCENARIOS = {"constant-ps": "constant", "varying-ps": "varying"}
@@ -83,17 +90,6 @@ _BATCH = {
     "varying_ps": {"supply_pressure_mode": "varying", "freeze_adaptation": False},
     "constant_ps_frozen": {"supply_pressure_mode": "constant", "freeze_adaptation": True},
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved configuration of one run."""
-
-    plant: PlantParams
-    controller: ControllerParams
-    estimator: FuzzyEstimator
-    scenario: Scenario
-    monitor: MonitorParams
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -126,10 +122,10 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError(f"unknown key {unknown[0]!r}")
 
     given: dict[str, dict[str, Any]] = defaultdict(dict)
-    for key, (target, field, kind) in _SCHEMA.items():
+    for key, (part, field, kind) in _SCHEMA.items():
         if key in raw:
             try:
-                given[target][field] = kind.parse(raw[key])
+                given[part][field] = kind.parse(raw[key])
             except ValueError:
                 raise ConfigError(
                     f"key {key!r}: cannot parse {raw[key]!r} as {kind.name}"
@@ -139,21 +135,19 @@ def resolve_config(raw: dict[str, str]) -> RunConfig:
     controller = _build(ControllerParams, "controller", "plant",
                         **given["controller"], model=plant)
     estimator = _build(FuzzyEstimator, "estimator", **given["estimator"])
-    initial_state = PlantState(**given["initial_state"])
-    scenario = _build(Scenario, "scenario", "initial_state",
-                      **given["scenario"], initial_state=initial_state)
+    scenario = _build(Scenario, "scenario", **given["scenario"])
     monitor = _build(MonitorParams, "monitor", **given["monitor"])
     return RunConfig(plant, controller, estimator, scenario, monitor)
 
 
-def _build(make: Callable[..., Any], *targets: str, **values: Any) -> Any:
+def _build(make: Callable[..., Any], *parts: str, **values: Any) -> Any:
     """make(**values), a rejected value raised as a ConfigError led by its key:
-    each check leads with the field it rejects, looked up under targets in turn."""
+    each check leads with the field it rejects, looked up under parts in turn."""
     try:
         return make(**values)
     except ValueError as err:
         field, sep, rest = str(err).partition(" ")
-        key = next((_KEYS[t, field] for t in targets if (t, field) in _KEYS), field)
+        key = next((_KEYS[t, field] for t in parts if (t, field) in _KEYS), field)
         raise ConfigError(key + sep + rest) from None
 
 
@@ -168,13 +162,8 @@ def _read_kv(path: str | Path) -> dict[str, str]:
 
 def config_dump(cfg: RunConfig) -> str:
     """Flat key=value dump of a resolved config; reloading it resolves to the same config."""
-    targets = {
-        "plant": cfg.plant, "controller": cfg.controller, "estimator": cfg.estimator,
-        "scenario": cfg.scenario, "initial_state": cfg.scenario.initial_state,
-        "monitor": cfg.monitor,
-    }
-    return "".join(f"{key} = {kind.show(getattr(targets[target], field))}\n"
-                   for key, (target, field, kind) in _SCHEMA.items())
+    return "".join(f"{key} = {kind.show(getattr(getattr(cfg, part), field))}\n"
+                   for key, (part, field, kind) in _SCHEMA.items())
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict[str, str]:

@@ -17,7 +17,7 @@ import math
 import struct
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .controller import ControllerParams, ReferencePoint, model_coefficients
@@ -48,13 +48,14 @@ class Scenario:
     amplitude: float = 0.5          # reference amplitude [m]
     omega: float = 0.1              # reference angular frequency [rad/s]
     supply_pressure_mode: str = "constant"
-    initial_state: PlantState = field(default_factory=PlantState)
+    x0: float = 0.0                 # initial position [m]
+    v0: float = 0.0                 # initial velocity [m/s]
+    pl0: float = 0.0                # initial load pressure [Pa]
     freeze_adaptation: bool = False
 
     def __post_init__(self):
-        check_fields(
-            self, positive=("duration", "dt_plant", "dt_control"), finite=("amplitude", "omega")
-        )
+        check_fields(self, positive=("duration", "dt_plant", "dt_control"),
+                     finite=("amplitude", "omega", "x0", "v0", "pl0"))
         # The step counts round the two ratios, so each float ratio is tested
         # before its rounding: an overflowing rate ratio is no integer multiple,
         # and an overflowing duration ratio indexes no row buffer.
@@ -96,7 +97,6 @@ class Scenario:
                 f"supply_pressure_mode must be one of {SUPPLY_MODES}, "
                 f"got {self.supply_pressure_mode!r}"
             )
-        check_fields(self.initial_state, finite=("x", "v", "PL"))
 
     @property
     def substeps(self) -> int:
@@ -303,7 +303,7 @@ def run(
     # object freed, and SimResult's arrays read this buffer without a copy
     buf = bytearray(_ROW.size * n_steps)
     pack_row, row_size = _ROW.pack_into, _ROW.size
-    x, v, PL = scenario.initial_state.x, scenario.initial_state.v, scenario.initial_state.PL
+    x, v, PL = scenario.x0, scenario.v0, scenario.pl0
     ps = supply_pressure(scenario.supply_pressure_mode, x, Ps0)
     # acceleration(): the force balance, which the spool does not enter. Each
     # substep forms it again after its update, where it is both the next row's

@@ -17,6 +17,7 @@ from ehservo import (
     FuzzyEstimator,
     MonitorParams,
     PlantParams,
+    PlantState,
     Scenario,
     SimResult,
     acceleration,
@@ -58,7 +59,7 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
     adaptive = not sc.freeze_adaptation
     rows, thetas, gains = [], [], []
     theta = est.d_hat
-    s = sc.initial_state
+    s = PlantState(sc.x0, sc.v0, sc.pl0)
     ps = supply_pressure(mode, s.x, plant.Ps)
     sign_prev = 0.0
     for k in range(sc.n_steps):

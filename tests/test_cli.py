@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ehservo
-from ehservo import ControllerParams, PlantParams, Scenario
+from ehservo import ControllerParams, FuzzyEstimator, PlantParams, Scenario
 from ehservo.cli import (
     CSV_HEADER,
     _NUMBER,
@@ -69,8 +69,11 @@ class TestConfigResolution:
                 resolve_config(parse_kv(f"{key} = 8\n"))
 
     def test_unparseable_value_named(self):
-        with pytest.raises(ConfigError, match="kappa"):
-            resolve_config(parse_kv("kappa = fast\n"))
+        for key, value, kind in (("kappa", "fast", "a number"),
+                                 ("freeze_adaptation", "maybe", "a boolean")):
+            with pytest.raises(ConfigError) as err:
+                resolve_config(parse_kv(f"{key} = {value}\n"))
+            assert str(err.value) == f"key '{key}': cannot parse '{value}' as {kind}"
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -136,6 +139,7 @@ def _changed_fields(cfg, base):
     parts = {
         "plant": (cfg.plant, base.plant),
         "controller": (cfg.controller, base.controller),
+        "estimator": (cfg.estimator, base.estimator),
         "scenario": (cfg.scenario, base.scenario),
         "monitor": (cfg.monitor, base.monitor),
     }
@@ -167,10 +171,14 @@ class TestSchema:
     ))
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_number_named(self, key, value):
-        # a former model_* key is refused by name as unknown, never dropped
-        message = f"^unknown key '{key}'" if key in _FORMER_MODEL_KEYS else rf"^{key}\b"
+        # a former model_* key is refused by name as unknown, never dropped;
+        # centers get a second entry, so that finiteness, not length, refuses them
+        if key in _FORMER_MODEL_KEYS:
+            message = f"^unknown key '{key}'"
+        else:
+            message = rf"^{key} must (all )?be finite\b"
         with pytest.raises(ConfigError, match=message):
-            resolve_config({key: value})
+            resolve_config({key: f"0, {value}" if key == "centers" else value})
 
     def test_every_field_reachable_from_a_key(self):
         base = resolve_config({})
@@ -180,6 +188,7 @@ class TestSchema:
         expected = (
             {("plant", f.name) for f in fields(PlantParams)}
             | {("controller", f.name) for f in fields(ControllerParams) if f.name != "model"}
+            | {("estimator", f.name) for f in fields(FuzzyEstimator)}
             | {("scenario", f.name) for f in fields(Scenario)}
             | {("monitor", f.name) for f in fields(MonitorParams)}
         )
@@ -220,6 +229,11 @@ def _empty_result():
 
 
 class TestCsv:
+    def test_unwritable_path_named(self, tmp_path):
+        path = tmp_path / "missing" / "run.csv"
+        with pytest.raises(OSError, match="^cannot write CSV to "):
+            write_csv(_empty_result(), path)
+
     def test_header_only_for_empty_series(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv(_empty_result(), path)

@@ -177,7 +177,7 @@ def test_run_equals_its_layer_functions(plant, mode, frozen, x, v, PL_ratio, ome
     cp = ControllerParams(phi=phi, model=plant)
     sc = Scenario(
         duration=0.25, omega=omega, supply_pressure_mode=mode, freeze_adaptation=frozen,
-        initial_state=PlantState(x, v, PL_ratio * plant.Ps),
+        x0=x, v0=v, pl0=PL_ratio * plant.Ps,
     )
     assert_run_replays(sc, plant, cp, FuzzyEstimator())
 

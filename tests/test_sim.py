@@ -148,6 +148,11 @@ class TestRK4Step:
         with pytest.raises(BlowUpError):
             rk4_step(PlantState(), math.nan, 1 / 800, PlantParams())
 
+    @pytest.mark.parametrize("dt", [0.0, -1 / 800, math.nan])
+    def test_rejects_non_positive_step(self, dt):
+        with pytest.raises(ValueError, match="^dt must be strictly positive"):
+            rk4_step(PlantState(), 0.0, dt, PlantParams())
+
 
 class TestRunMechanics:
     def test_equilibrium_is_invariant(self):
@@ -173,31 +178,42 @@ class TestRunMechanics:
         # a huge initial velocity passes the controller's checks and
         # overflows inside the RK4 stages of the third control period
         with pytest.raises(BlowUpError) as err:
-            nominal_run(Scenario(duration=2.0, initial_state=PlantState(0.0, 1e150, 0.0)))
+            nominal_run(Scenario(duration=2.0, v0=1e150))
         assert type(err.value) is BlowUpError
         assert err.value.time == 0.005
         message = str(err.value)
         assert message.startswith("non-finite plant state: ")
         assert message.endswith(" (control period starting at t=0.005 s)")
 
+    def test_non_finite_equivalent_control_raises_before_any_voltage(self):
+        # a finite start whose velocity overflows the model's a1*v: both loops
+        # refuse the first equivalent control, before any voltage is formed
+        sc = Scenario(duration=1.0, v0=1e305)
+        plant = PlantParams()
+        cp = ControllerParams(model=plant)
+        assert assert_run_replays(sc, plant, cp, FuzzyEstimator()) is None
+        with pytest.raises(BlowUpError) as err:
+            run(sc, plant, cp, FuzzyEstimator())
+        assert (str(err.value), err.value.time) == ("non-finite equivalent control at t=0 s", 0.0)
+
     # states found by searching with rk4_step: the first non-finite value of
     # the first substep appears in the input of RK4 stage 2, 3 or 4, or only
     # in the combined step. On SHUT_SPOOL each stage's flow is
     # 0*sqrt(radicand), which is 0*inf = NaN once a stage pressure has
     # overflowed to +inf (v = -1e301).
-    @pytest.mark.parametrize("state, plant, stage", [
-        (PlantState(0.0, 1e301, 0.0), PlantParams(), 2),
-        (PlantState(0.0, 1e250, 0.0), PlantParams(), 3),
-        (PlantState(1e250, 0.0, 0.0), PlantParams(), 4),
-        (PlantState(0.0, 1e185, 0.0), PlantParams(), "combine"),
-        (PlantState(0.0, 1e301, 0.0), SHUT_SPOOL, 2),
-        (PlantState(0.0, -1e301, 0.0), SHUT_SPOOL, 2),
+    @pytest.mark.parametrize("start, plant, stage", [
+        ({"v0": 1e301}, PlantParams(), 2),
+        ({"v0": 1e250}, PlantParams(), 3),
+        ({"x0": 1e250}, PlantParams(), 4),
+        ({"v0": 1e185}, PlantParams(), "combine"),
+        ({"v0": 1e301}, SHUT_SPOOL, 2),
+        ({"v0": -1e301}, SHUT_SPOOL, 2),
     ], ids=["stage2", "stage3", "stage4", "combine", "shut-stage2", "shut-stage2-nan"])
-    def test_blow_up_names_the_first_non_finite_stage(self, state, plant, stage, monkeypatch):
+    def test_blow_up_names_the_first_non_finite_stage(self, start, plant, stage, monkeypatch):
         # run checks once per substep; its message and time must still be
         # those of the reference loop, whose rk4_step checks every stage
         cp = ControllerParams(model=plant)
-        sc = Scenario(duration=1.0, initial_state=state)
+        sc = Scenario(duration=1.0, **start)
         voltages = []  # the held voltage, once per stage called
         with monkeypatch.context() as m:
             m.setattr(sim, "plant_derivatives",
@@ -219,7 +235,7 @@ class TestRunMechanics:
         # QL = 0), and the run equals the reference loop of rk4_step
         plant = replace(SHUT_SPOOL, rho=1e-306)
         cp = ControllerParams(model=PlantParams())
-        sc = Scenario(duration=0.05, initial_state=PlantState(0.01, 0.1, 1e5))
+        sc = Scenario(duration=0.05, x0=0.01, v0=0.1, pl0=1e5)
         ref = assert_run_replays(sc, plant, cp, FuzzyEstimator())
         assert not np.any(ref.series["u"] - ref.series["d"])
 
@@ -230,8 +246,7 @@ class TestRunMechanics:
         # from its state
         plant = replace(PlantParams(), beta_e=1e5, Vt=0.03, Bp=0.0, K=0.1)
         cp = ControllerParams(lam=1e-3, model=plant)
-        sc = Scenario(duration=0.01, amplitude=0.0,
-                      initial_state=PlantState(sys.float_info.max, 0.0, 0.0))
+        sc = Scenario(duration=0.01, amplitude=0.0, x0=sys.float_info.max)
         replays = []
         monkeypatch.setattr(sim, "rk4_step", lambda *args: replays.append(1) or rk4_step(*args))
         res = run(sc, plant, cp, FuzzyEstimator())
@@ -263,7 +278,7 @@ class TestRunMechanics:
         # the RMS of the metric quarters and of the monitor windows must not
         plant = PlantParams(beta_e=1e-3)
         cp = ControllerParams(model=plant)
-        sc = Scenario(duration=1.0, initial_state=PlantState(0.0, 1e160, 0.0))
+        sc = Scenario(duration=1.0, v0=1e160)
         res = run(sc, plant, cp, FuzzyEstimator(), MonitorParams(window=0.1))
         assert np.max(np.abs(res.e)) > math.sqrt(sys.float_info.max)
         pairs = _rms_and_segments(res, 40)
