@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -18,7 +19,8 @@ from .sim import SERIES as CSV_COLUMNS
 from .sim import MONITOR_E_THRESHOLD, MonitorParams, Scenario, SimResult, run
 
 CSV_HEADER = ",".join(CSV_COLUMNS)
-_CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS)) + "\n"
+# bytes %-formatting prints a float as str %-formatting does, with no encode per line
+_CSV_ROW = b",".join([b"%.12g"] * len(CSV_COLUMNS)) + b"\n"
 
 
 class ConfigError(ValueError):
@@ -184,8 +186,8 @@ def write_csv(result: SimResult, path: str | Path) -> None:
     # scalars to the same text; unlike tolist() it boxes one row at a time.
     series = [memoryview(getattr(result, name)) for name in CSV_COLUMNS]
     try:
-        with open(path, "w", newline="\n") as handle:
-            handle.write(CSV_HEADER + "\n")
+        with open(path, "wb") as handle:
+            handle.write(CSV_HEADER.encode() + b"\n")
             handle.writelines(_CSV_ROW % row for row in zip(*series))
     except OSError as err:
         raise OSError(f"cannot write CSV to {path}: {err}") from err
@@ -220,7 +222,10 @@ def summarize(result: SimResult, elapsed: float | None = None) -> None:
         _say(f"wall-clock time                   : {elapsed:.2f} s")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line, built on first use and kept: parse_args keeps no state
+    between calls, so every call of main in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="ehservo",
         description="Closed-loop hydraulic servo simulation with adaptive fuzzy dead-zone compensation.",
@@ -245,14 +250,19 @@ def main(argv: list[str] | None = None) -> int:
         help="print the fully resolved configuration and exit",
     )
     runp.add_argument("--batch", metavar="DIR", help="run the scenario suite into DIR")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
-        raw = {**(_read_kv(args.config) if args.config else {}), **_flag_overrides(args)}
-        cfg = resolve_config(raw)
-        for flag, path in (("--out", args.out), ("--batch", args.batch)):
+        for flag, path in (("--config", args.config), ("--out", args.out),
+                           ("--batch", args.batch)):
             if path == "":
                 raise ConfigError(f"{flag} must name a path, got ''")
+        raw = {**(_read_kv(args.config) if args.config else {}), **_flag_overrides(args)}
+        cfg = resolve_config(raw)
         if args.batch is not None:
             # each batch job sets these itself, so a given value would be dropped
             given = {"--out": args.out, **raw}

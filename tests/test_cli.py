@@ -394,6 +394,12 @@ class TestMain:
             resolve_config({})
             assert main(["run", "--print-config"]) == 0
             assert main(["run", "--duration", "abc"]) == 1
+            try:
+                main(["run", "--help"])
+            except SystemExit as stop:
+                assert stop.code == 0
+            else:
+                raise AssertionError("--help returned")
             assert "numpy" not in sys.modules
             # the run path of main loads numpy before its clock starts
             import ehservo.cli
@@ -416,6 +422,20 @@ class TestMain:
         proc = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_calls_share_no_state(self, capsys):
+        # one parser serves every call of main in a process
+        assert main(["run", "--print-config"]) == 0
+        defaults = capsys.readouterr().out
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--bogus"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main(["run", "--duration", "5", "--print-config"]) == 0
+        assert "duration = 5.0\n" in capsys.readouterr().out
+        assert main(["run", "--print-config"]) == 0
+        assert capsys.readouterr().out == defaults
+        assert "duration = 120.0\n" in defaults
 
     @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
     def test_closed_stdout_finishes_the_batch(self, flags, tmp_path):
@@ -465,21 +485,23 @@ class TestMain:
         assert "supply_pressure_mode = varying" in out
         assert "freeze_adaptation = true" in out
 
-    # an empty --out or --batch would run and write no CSV; finite, positive
-    # plant constants whose products underflow leave the model no input gain;
+    # an empty --out or --batch would run and write no CSV, and an empty
+    # --config would run the defaults; finite, positive plant constants whose
+    # products underflow leave the model no input gain;
     # a reference phase omega*t that overflows would reach sin(inf), and a
     # reference jerk amplitude*omega**3 that overflows a non-finite control
     @pytest.mark.parametrize("line, flags, error", [
         ("kappa = inf", [], "config error: kappa"),
         ("", ["--out", ""], "config error: --out "),
         ("", ["--batch", ""], "config error: --batch "),
+        ("", ["--config", ""], "config error: --config "),
         ("vt = 1e-200\nmt = 1e-200", [], "config error: vt "),
         ("cd = 1e-200\nkv = 1e-200", [], "config error: kv "),
         ("cd = 1e-150\nkv = 1e-150\nrho = 1e300", [], "config error: kv "),
         ("amplitude = 0\nomega = 1e308", ["--duration", "2"], "config error: omega "),
         ("omega = 1e103", ["--duration", "1"], "config error: omega "),
-    ], ids=["kappa", "out_flag", "batch_flag", "vt_mt", "cd_kv", "gain_floor", "omega",
-            "omega_jerk"])
+    ], ids=["kappa", "out_flag", "batch_flag", "config_flag", "vt_mt", "cd_kv", "gain_floor",
+            "omega", "omega_jerk"])
     def test_bad_value_rejected_before_run(self, line, flags, error, tmp_path, capsys,
                                            no_run):
         cfg = _write(tmp_path, line + "\n")
