@@ -20,7 +20,6 @@ from .plant import (
     EPS_CAV,
     BlowUpError,
     PlantParams,
-    PlantState,
     acceleration,
     dead_zone_d,
     dead_zone_output,
@@ -51,7 +50,6 @@ __all__ = [
     "MonitorParams",
     "MonitorReport",
     "PlantParams",
-    "PlantState",
     "ReferencePoint",
     "Scenario",
     "SimMetrics",

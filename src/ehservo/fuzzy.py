@@ -43,6 +43,9 @@ class FuzzyEstimator:
             raise ValueError("centers must all be finite")
         if any(lo >= hi for lo, hi in zip(centers, centers[1:])):
             raise ValueError(f"centers must be strictly increasing, got {centers}")
+        # membership divides by each gap: an overflowed one stops interpolating
+        if any(not math.isfinite(hi - lo) for lo, hi in zip(centers, centers[1:])):
+            raise ValueError(f"centers must have finite neighbour gaps, got {centers}")
         if len(d_hat) != len(centers):
             raise ValueError(
                 f"d_hat length {len(d_hat)} does not match {len(centers)} centers"

@@ -1,9 +1,11 @@
 """Physical model of the valve-controlled hydraulic actuator.
 
 Three-state ground truth: piston position x [m], velocity v [m/s] and load
-pressure PL [Pa]. The control voltage maps through the valve dead zone to an
-effective spool displacement, the spool meters flow through the orifice
-equation, and the flow feeds the pressure/force balance on the piston.
+pressure PL [Pa]. The functions here take that state as three plain floats,
+the way sim.run's kernel holds it. The control voltage maps through the valve
+dead zone to an effective spool displacement, the spool meters flow through
+the orifice equation, and the flow feeds the pressure/force balance on the
+piston.
 
 plant_derivatives writes that right-hand side once, over dead_zone_output,
 load_flow and acceleration. The RK4 stages of sim.run are its one copy, and
@@ -82,15 +84,6 @@ def check_fields(obj, finite=(), positive=(), non_negative=()) -> None:
             raise ValueError(f"{name} must be non-negative, got {getattr(obj, name)}")
 
 
-@dataclass(frozen=True, slots=True)
-class PlantState:
-    """Instantaneous state: position [m], velocity [m/s], load pressure [Pa]."""
-
-    x: float = 0.0
-    v: float = 0.0
-    PL: float = 0.0
-
-
 def sgn(z: float) -> float:
     """Three-valued sign, with sgn(0) = 0."""
     if z > 0.0:
@@ -142,8 +135,9 @@ def load_flow(x_sp: float, PL: float, p: PlantParams) -> float:
     return p.Cd * p.w * x_sp * math.sqrt(drop / p.rho)
 
 
-def plant_derivatives(s: PlantState, u: float, p: PlantParams) -> tuple[float, float, float]:
-    """Time derivatives (dx/dt, dv/dt, dPL/dt) under held control voltage u.
+def plant_derivatives(x: float, v: float, PL: float, u: float,
+                      p: PlantParams) -> tuple[float, float, float]:
+    """Time derivatives (dx/dt, dv/dt, dPL/dt) of state x, v, PL under held voltage u.
 
     The plant's one written right-hand side: the spool displacement through
     the dead zone, its flow through load_flow, the force balance of
@@ -151,7 +145,6 @@ def plant_derivatives(s: PlantState, u: float, p: PlantParams) -> tuple[float, f
     stages of sim.run are its only copy, which the tests replay against it.
     Raises BlowUpError on a non-finite state or spool displacement.
     """
-    x, v, PL = s.x, s.v, s.PL
     # one call for a finite state; the sum alone could overflow on finite parts
     if not math.isfinite(x + v + PL) and not (
         math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)
@@ -161,13 +154,13 @@ def plant_derivatives(s: PlantState, u: float, p: PlantParams) -> tuple[float, f
     if not math.isfinite(x_sp):
         raise BlowUpError(f"non-finite spool displacement: x_sp={x_sp} at u={u}")
     QL = load_flow(x_sp, PL, p)
-    return v, acceleration(s, p), 4.0 * p.beta_e / p.Vt * (QL - p.Ap * v - p.Ctp * PL)
+    return v, acceleration(x, v, PL, p), 4.0 * p.beta_e / p.Vt * (QL - p.Ap * v - p.Ctp * PL)
 
 
-def acceleration(s: PlantState, p: PlantParams) -> float:
-    """Piston acceleration [m/s^2] from the force balance.
+def acceleration(x: float, v: float, PL: float, p: PlantParams) -> float:
+    """Piston acceleration [m/s^2] from the force balance at state x, v, PL.
 
     This is the signal the controller reads as the measured acceleration, and
     the velocity derivative of plant_derivatives: the spool does not enter it.
     """
-    return (p.Ap * s.PL - p.Bp * s.v - p.K * s.x) / p.Mt
+    return (p.Ap * PL - p.Bp * v - p.K * x) / p.Mt

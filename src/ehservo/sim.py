@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .controller import ControllerParams, ReferencePoint, model_coefficients
 from .fuzzy import FuzzyEstimator
-from .plant import EPS_CAV, BlowUpError, PlantParams, PlantState, check_fields, plant_derivatives
+from .plant import EPS_CAV, BlowUpError, PlantParams, check_fields, plant_derivatives
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,6 +97,9 @@ class Scenario:
                 f"supply_pressure_mode must be one of {SUPPLY_MODES}, "
                 f"got {self.supply_pressure_mode!r}"
             )
+        frozen = self.freeze_adaptation  # any other value would pick a mode by its truth
+        if not isinstance(frozen, bool):
+            raise ValueError(f"freeze_adaptation must be True or False, got {frozen!r}")
 
     @property
     def substeps(self) -> int:
@@ -199,22 +202,23 @@ def supply_pressure(mode: str, x: float, ps_nominal: float) -> float:
     raise ValueError(f"unknown supply_pressure_mode: {mode!r}")
 
 
-def rk4_step(s: PlantState, u: float, dt: float, p: PlantParams) -> PlantState:
-    """One classical Runge-Kutta step with the control voltage held constant.
+def rk4_step(x: float, v: float, PL: float, u: float, dt: float,
+             p: PlantParams) -> tuple[float, float, float]:
+    """One classical Runge-Kutta step of state x, v, PL with the voltage u held.
 
-    Its four stages call plant_derivatives, the written reference of the
-    plant; sim.run's loop carries the one inlined copy of them. The load
-    pressure is clamped to [-Ps, Ps] afterwards; beyond that range the
-    orifice model stops being physical.
+    Returns the new state as the tuple (x, v, PL). Its four stages call
+    plant_derivatives, the written reference of the plant; sim.run's loop
+    carries the one inlined copy of them. The load pressure is clamped to
+    [-Ps, Ps] afterwards; beyond that range the orifice model stops being
+    physical.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be strictly positive, got {dt}")
-    x, v, PL = s.x, s.v, s.PL
-    k1x, k1v, k1p = plant_derivatives(s, u, p)
+    k1x, k1v, k1p = plant_derivatives(x, v, PL, u, p)
     h = 0.5 * dt
-    k2x, k2v, k2p = plant_derivatives(PlantState(x + h * k1x, v + h * k1v, PL + h * k1p), u, p)
-    k3x, k3v, k3p = plant_derivatives(PlantState(x + h * k2x, v + h * k2v, PL + h * k2p), u, p)
-    k4x, k4v, k4p = plant_derivatives(PlantState(x + dt * k3x, v + dt * k3v, PL + dt * k3p), u, p)
+    k2x, k2v, k2p = plant_derivatives(x + h * k1x, v + h * k1v, PL + h * k1p, u, p)
+    k3x, k3v, k3p = plant_derivatives(x + h * k2x, v + h * k2v, PL + h * k2p, u, p)
+    k4x, k4v, k4p = plant_derivatives(x + dt * k3x, v + dt * k3v, PL + dt * k3p, u, p)
     w = dt / 6.0
     x = x + w * (k1x + 2.0 * (k2x + k3x) + k4x)
     v = v + w * (k1v + 2.0 * (k2v + k3v) + k4v)
@@ -225,7 +229,7 @@ def rk4_step(s: PlantState, u: float, dt: float, p: PlantParams) -> PlantState:
         PL = p.Ps
     elif PL < -p.Ps:
         PL = -p.Ps
-    return PlantState(x, v, PL)
+    return x, v, PL
 
 
 def run(
@@ -244,13 +248,14 @@ def run(
     substeps. Raises BlowUpError (carrying the offending time) if the state
     leaves the finite range.
 
-    The loop runs over plain floats. It inlines reference_at, combined_error,
-    input_gain_b, equivalent_control, membership, infer, control_law, adapt,
-    dead_zone_d, sgn, acceleration, supply_pressure, rk4_step and the four
-    plant_derivatives stages of each substep in their exact operation order:
-    it is the one copy of those written references, and every series equals
-    the one they give, bit for bit. The tests compose the same loop from the
-    public functions and require run to equal it.
+    The loop runs over plain floats, the plant state as the x, v, PL that
+    plant_derivatives and rk4_step take. It inlines reference_at,
+    combined_error, input_gain_b, equivalent_control, membership, infer,
+    control_law, adapt, dead_zone_d, sgn, acceleration, supply_pressure,
+    rk4_step and the four plant_derivatives stages of each substep in their
+    exact operation order: it is the one copy of those written references,
+    and every series equals the one they give, bit for bit. The tests compose
+    the same loop from the public functions and require run to equal it.
 
     Each step writes its row of the twelve series once, in SERIES order; a
     frozen run's dhat is +0.0.
@@ -414,8 +419,7 @@ def run(
                     # a non-finite stage leaves a non-finite result (see the
                     # docstring): rk4_step names it, or returns when the
                     # finite parts only overflowed their sum
-                    s = rk4_step(PlantState(x, v, PL), u, dt_p, replace(plant, Ps=ps))
-                    x_n, v_n, P_n = s.x, s.v, s.PL
+                    x_n, v_n, P_n = rk4_step(x, v, PL, u, dt_p, replace(plant, Ps=ps))
                 x, v = x_n, v_n
                 PL = ps if P_n > ps else -ps if P_n < -ps else P_n
                 if varying:  # for the next substep, or the next row

@@ -17,7 +17,6 @@ from ehservo import (
     FuzzyEstimator,
     MonitorParams,
     PlantParams,
-    PlantState,
     Scenario,
     SimResult,
     acceleration,
@@ -59,17 +58,17 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
     adaptive = not sc.freeze_adaptation
     rows, thetas, gains = [], [], []
     theta = est.d_hat
-    s = PlantState(sc.x0, sc.v0, sc.pl0)
-    ps = supply_pressure(mode, s.x, plant.Ps)
+    x, v, PL = sc.x0, sc.v0, sc.pl0
+    ps = supply_pressure(mode, x, plant.Ps)
     sign_prev = 0.0
     for k in range(sc.n_steps):
         t = k * sc.dt_control
-        x_ddot = acceleration(s, plant)
+        x_ddot = acceleration(x, v, PL, plant)
         ref = reference_at(t, sc.amplitude, sc.omega)
-        xerr = s.x - ref.xd
-        e = combined_error(xerr, s.v - ref.xd_dot, x_ddot - ref.xd_ddot, cp)
-        b = input_gain_b(s.x, s.v, x_ddot, sign_prev, cp.model)
-        u_hat = equivalent_control(s.x, s.v, x_ddot, ref, a, b, cp)
+        xerr = x - ref.xd
+        e = combined_error(xerr, v - ref.xd_dot, x_ddot - ref.xd_ddot, cp)
+        b = input_gain_b(x, v, x_ddot, sign_prev, cp.model)
+        u_hat = equivalent_control(x, v, x_ddot, ref, a, b, cp)
         if not math.isfinite(u_hat):
             raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
         d_hat = 0.0
@@ -79,7 +78,7 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
         u = control_law(u_hat, d_hat, e, cp)
         if not math.isfinite(u):
             raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
-        rows.append((t, s.x, ref.xd, xerr, s.v, s.PL, u, u_hat, dead_zone_d(u, plant),
+        rows.append((t, x, ref.xd, xerr, v, PL, u, u_hat, dead_zone_d(u, plant),
                      d_hat, e, ps))
         thetas.append(theta)
         gains.append(b)
@@ -90,8 +89,8 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
             for _ in range(sc.substeps):
                 # a constant supply is plant.Ps itself, with no PlantParams to build
                 p_now = plant if ps == plant.Ps else replace(plant, Ps=ps)
-                s = rk4_step(s, u, sc.dt_plant, p_now)
-                ps = supply_pressure(mode, s.x, plant.Ps)
+                x, v, PL = rk4_step(x, v, PL, u, sc.dt_plant, p_now)
+                ps = supply_pressure(mode, x, plant.Ps)
         except BlowUpError as err:
             raise BlowUpError(
                 f"{err} (control period starting at t={t:.6g} s)", time=t

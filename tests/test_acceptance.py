@@ -14,7 +14,6 @@ from scipy.linalg import expm
 from ehservo import (
     FuzzyEstimator,
     PlantParams,
-    PlantState,
     Scenario,
     dead_zone_d,
     dead_zone_output,
@@ -121,13 +120,13 @@ def test_integrator_order():
     errors = []
     for dt in (1 / 800, 1 / 1600, 1 / 3200):
         phi = expm(A * dt)
-        s = PlantState(x0[0], x0[1], x0[2])
+        s = tuple(x0)
         exact = x0.copy()
         worst = 0.0
         for _ in range(round(T / dt)):
-            s = rk4_step(s, 0.0, dt, p)
+            s = rk4_step(*s, 0.0, dt, p)
             exact = phi @ exact
-            worst = max(worst, abs(s.x - exact[0]))
+            worst = max(worst, abs(s[0] - exact[0]))
         errors.append(worst)
     p1 = math.log2(errors[0] / errors[1])
     p2 = math.log2(errors[1] / errors[2])

@@ -489,7 +489,8 @@ class TestMain:
     # --config would run the defaults; finite, positive plant constants whose
     # products underflow leave the model no input gain;
     # a reference phase omega*t that overflows would reach sin(inf), and a
-    # reference jerk amplitude*omega**3 that overflows a non-finite control
+    # reference jerk amplitude*omega**3 that overflows a non-finite control;
+    # centers whose gap overflows would stop interpolating
     @pytest.mark.parametrize("line, flags, error", [
         ("kappa = inf", [], "config error: kappa"),
         ("", ["--out", ""], "config error: --out "),
@@ -500,8 +501,9 @@ class TestMain:
         ("cd = 1e-150\nkv = 1e-150\nrho = 1e300", [], "config error: kv "),
         ("amplitude = 0\nomega = 1e308", ["--duration", "2"], "config error: omega "),
         ("omega = 1e103", ["--duration", "1"], "config error: omega "),
+        ("centers = -1e308, 1e308", [], "config error: centers "),
     ], ids=["kappa", "out_flag", "batch_flag", "config_flag", "vt_mt", "cd_kv", "gain_floor",
-            "omega", "omega_jerk"])
+            "omega", "omega_jerk", "centers_gap"])
     def test_bad_value_rejected_before_run(self, line, flags, error, tmp_path, capsys,
                                            no_run):
         cfg = _write(tmp_path, line + "\n")

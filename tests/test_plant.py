@@ -10,7 +10,6 @@ import pytest
 from ehservo import (
     BlowUpError,
     PlantParams,
-    PlantState,
     acceleration,
     load_flow,
     plant_derivatives,
@@ -73,35 +72,35 @@ class TestLoadFlow:
 
 class TestDerivatives:
     def test_equilibrium(self, params):
-        assert plant_derivatives(PlantState(0.0, 0.0, 0.0), 0.0, params) == (0.0, 0.0, 0.0)
+        assert plant_derivatives(0.0, 0.0, 0.0, 0.0, params) == (0.0, 0.0, 0.0)
 
     def test_spring_pullback(self, params):
         # vdot = -K*x/Mt = -75*0.1/250
-        _, dv, _ = plant_derivatives(PlantState(0.1, 0.0, 0.0), 0.0, params)
+        _, dv, _ = plant_derivatives(0.1, 0.0, 0.0, 0.0, params)
         assert dv == pytest.approx(-0.03, rel=1e-12)
 
     def test_leakage_pressure_decay(self, params):
         # dPL = (4*beta_e/Vt) * (-Ctp*PL) = -28e6/3 at PL = 1e5
-        _, _, dpl = plant_derivatives(PlantState(0.0, 0.0, 1e5), 0.0, params)
+        _, _, dpl = plant_derivatives(0.0, 0.0, 1e5, 0.0, params)
         assert dpl == pytest.approx(-9333333.333333333, rel=1e-12)
 
     def test_blow_up_on_non_finite_state(self, params):
         with pytest.raises(BlowUpError):
-            plant_derivatives(PlantState(math.nan, 0.0, 0.0), 0.0, params)
+            plant_derivatives(math.nan, 0.0, 0.0, 0.0, params)
         with pytest.raises(BlowUpError):
-            plant_derivatives(PlantState(0.0, math.inf, 0.0), 0.0, params)
+            plant_derivatives(0.0, math.inf, 0.0, 0.0, params)
         # a NaN voltage reaches no orifice law: it is a non-finite spool
         with pytest.raises(BlowUpError, match="spool"):
-            plant_derivatives(PlantState(), math.nan, params)
+            plant_derivatives(0.0, 0.0, 0.0, math.nan, params)
 
 
 class TestAcceleration:
     def test_rest(self, params):
-        assert acceleration(PlantState(0.0, 0.0, 0.0), params) == 0.0
+        assert acceleration(0.0, 0.0, 0.0, params) == 0.0
 
     def test_pressure_drive(self, params):
         # Ap*PL/Mt = 3e-4 * 1e6 / 250
-        assert acceleration(PlantState(0.0, 0.0, 1e6), params) == pytest.approx(1.2, rel=1e-12)
+        assert acceleration(0.0, 0.0, 1e6, params) == pytest.approx(1.2, rel=1e-12)
 
 
 def test_sgn_convention():

@@ -19,7 +19,6 @@ from ehservo import (
     ControllerParams,
     FuzzyEstimator,
     PlantParams,
-    PlantState,
     Scenario,
     acceleration,
     adapt,
@@ -131,8 +130,7 @@ def test_rk4_step_of_a_linear_plant(exponents, h_rho, x, v, PL):
     A = linear_plant_matrix(p)
     dt = h_rho / max(abs(np.linalg.eigvals(A)))
     s0 = np.array([x, v, PL])
-    s = rk4_step(PlantState(x, v, PL), 0.0, dt, p)
-    got = np.array([s.x, s.v, s.PL])
+    got = np.array(rk4_step(x, v, PL, 0.0, dt, p))
 
     # on a linear system one RK4 step is the degree-4 Taylor polynomial of expm(A dt)
     hA = dt * A
@@ -189,11 +187,11 @@ def test_plant_jerk_is_the_controller_model(p, x, v, PL_ratio, u):
     # the controller's reduced model x''' = -a0 x - a1 x' - a2 x'' + b (u - d(u))
     # is the jerk of plant_derivatives, away from the EPS_CAV floor (|PL| <= 0.9 Ps);
     # the gap is measured against the largest term, since the terms cancel
-    s = PlantState(x, v, PL_ratio * p.Ps)
-    dx, dv, dPL = plant_derivatives(s, u, p)
+    PL = PL_ratio * p.Ps
+    dx, dv, dPL = plant_derivatives(x, v, PL, u, p)
     jerk = (p.Ap * dPL - p.Bp * dv - p.K * dx) / p.Mt
     a0, a1, a2 = model_coefficients(p)
-    acc = acceleration(s, p)
+    acc = acceleration(x, v, PL, p)
     terms = (-a0 * x, -a1 * v, -a2 * acc,
              input_gain_b(x, v, acc, sgn(u), p) * (u - dead_zone_d(u, p)))
     assert abs(jerk - sum(terms)) <= 1e-12 * max(map(abs, terms))

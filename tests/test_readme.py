@@ -1,10 +1,12 @@
 """README.md runs and reads as the code does: its python example and its
 `ehservo run` lines run as written, its config table names exactly the config
-schema's keys and gives their defaults, and every module attribute it names exists."""
+schema's keys and gives their defaults, and every module attribute it names exists.
+ehservo's __all__ lists exactly the public names the package binds."""
 
 import importlib
 import re
 import shlex
+import types
 from pathlib import Path
 
 import ehservo
@@ -93,3 +95,14 @@ def test_named_module_attributes_exist():
                if not hasattr(importlib.import_module(f"ehservo.{module}"), name)]
     missing += [f"{name}(" for name in calls if not hasattr(ehservo, name)]
     assert not missing, f"README names attributes that do not exist: {missing}"
+
+
+def test_exported_names_are_all():
+    # every __all__ entry resolves, and every public name ehservo binds other
+    # than its submodules is exported, so a name cannot be deleted from one
+    # and stay in the other
+    missing = [name for name in ehservo.__all__ if not hasattr(ehservo, name)]
+    assert not missing, f"__all__ names attributes that do not exist: {missing}"
+    bound = {name for name, value in vars(ehservo).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert bound == set(ehservo.__all__)

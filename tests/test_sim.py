@@ -15,7 +15,6 @@ from ehservo import (
     FuzzyEstimator,
     MonitorParams,
     PlantParams,
-    PlantState,
     Scenario,
     dead_zone_output,
     input_gain_b,
@@ -73,6 +72,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="supply_pressure_mode"):
             Scenario(supply_pressure_mode="wobbly")
 
+    def test_freeze_adaptation_must_be_bool(self):
+        # a truthy string would otherwise freeze the run
+        with pytest.raises(ValueError, match="^freeze_adaptation must be True or False, got 'no'$"):
+            Scenario(freeze_adaptation="no")
+
 
 class TestReference:
     def test_at_zero(self):
@@ -119,39 +123,37 @@ class TestSupplyPressure:
 class TestRK4Step:
     def test_equilibrium_fixed_point(self):
         p = PlantParams()
-        s = PlantState(0.0, 0.0, 0.0)
-        assert rk4_step(s, 0.0, 1 / 800, p) == s
+        assert rk4_step(0.0, 0.0, 0.0, 0.0, 1 / 800, p) == (0.0, 0.0, 0.0)
 
     def test_one_step_matches_two_half_steps(self):
         p = PlantParams()
-        s = PlantState(0.01, 0.0, 0.0)
+        s = (0.01, 0.0, 0.0)
         for u in (0.0, 2.0):
-            one = rk4_step(s, u, 1 / 800, p)
-            two = rk4_step(rk4_step(s, u, 1 / 1600, p), u, 1 / 1600, p)
-            assert abs(one.x - two.x) < 1e-10
-            assert abs(one.v - two.v) < 1e-7
-            assert abs(one.PL - two.PL) < 1.0
+            one = rk4_step(*s, u, 1 / 800, p)
+            two = rk4_step(*rk4_step(*s, u, 1 / 1600, p), u, 1 / 1600, p)
+            assert abs(one[0] - two[0]) < 1e-10
+            assert abs(one[1] - two[1]) < 1e-7
+            assert abs(one[2] - two[2]) < 1.0
 
     def test_pressure_clamped_to_supply(self):
         p = PlantParams()
-        s = PlantState(0.0, 0.0, 0.999 * p.Ps)
-        out = rk4_step(s, 8.0, 1 / 800, p)
-        assert abs(out.PL) <= p.Ps
+        _, _, PL = rk4_step(0.0, 0.0, 0.999 * p.Ps, 8.0, 1 / 800, p)
+        assert abs(PL) <= p.Ps
 
     def test_blow_up_raises(self):
         p = PlantParams()
         with pytest.raises(BlowUpError):
-            rk4_step(PlantState(math.nan, 0.0, 0.0), 0.0, 1 / 800, p)
+            rk4_step(math.nan, 0.0, 0.0, 0.0, 1 / 800, p)
 
     def test_nan_voltage_blows_up(self):
         # a NaN voltage is no closed valve: it reaches the state and is reported
         with pytest.raises(BlowUpError):
-            rk4_step(PlantState(), math.nan, 1 / 800, PlantParams())
+            rk4_step(0.0, 0.0, 0.0, math.nan, 1 / 800, PlantParams())
 
     @pytest.mark.parametrize("dt", [0.0, -1 / 800, math.nan])
     def test_rejects_non_positive_step(self, dt):
         with pytest.raises(ValueError, match="^dt must be strictly positive"):
-            rk4_step(PlantState(), 0.0, dt, PlantParams())
+            rk4_step(0.0, 0.0, 0.0, 0.0, dt, PlantParams())
 
 
 class TestRunMechanics:
@@ -216,8 +218,8 @@ class TestRunMechanics:
         sc = Scenario(duration=1.0, **start)
         voltages = []  # the held voltage, once per stage called
         with monkeypatch.context() as m:
-            m.setattr(sim, "plant_derivatives",
-                      lambda s, u, p: voltages.append(u) or plant_derivatives(s, u, p))
+            m.setattr(sim, "plant_derivatives", lambda x, v, PL, u, p:
+                      voltages.append(u) or plant_derivatives(x, v, PL, u, p))
             with pytest.raises(BlowUpError) as ref_err:
                 reference_run(sc, plant, cp, FuzzyEstimator())
         assert (dead_zone_output(voltages[0], plant) == 0.0) == (plant is SHUT_SPOOL)
