@@ -5,10 +5,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see every line.
 """
 
 import math
+import operator
 import time
 
 import numpy as np
-import pytest
 from scipy.linalg import expm
 
 from ehservo import (
@@ -23,16 +23,27 @@ from ehservo import (
     model_coefficients,
     rk4_step,
 )
-from ehservo.cli import write_csv
 from ehservo.sim import SERIES
 from reference import nominal_run
 from test_fuzzy import ratio_form
 from test_properties import linear_plant_matrix
 
 
-def _report(name, ok, detail):
-    print(f"\nACCEPTANCE {'PASS' if ok else 'FAIL'}: {name}: {detail}")
-    return ok
+_OPS = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt,
+        ">=": operator.ge}
+
+
+def _accept(name, checks, note=""):
+    """Print the criterion's PASS/FAIL line from its (label, value, op, bound)
+    checks, then assert every check, so the printed and the asserted bound
+    are one value."""
+    failed = [f"{label} {value!r} is not {op} {bound!r}"
+              for label, value, op, bound in checks if not _OPS[op](value, bound)]
+    detail = ", ".join(f"{label} {value:.4g} ({op} {bound:.4g})" if isinstance(value, float)
+                       else f"{label} {value} ({op} {bound})"
+                       for label, value, op, bound in checks)
+    print(f"\nACCEPTANCE {'FAIL' if failed else 'PASS'}: {name}: {detail}{note}")
+    assert not failed, f"{name}: {'; '.join(failed)}"
 
 
 def test_dead_zone_identity_suite():
@@ -48,14 +59,11 @@ def test_dead_zone_identity_suite():
         exact += dead_zone_output(u, p) == p.kv * (u - d)
         bounded += p.delta_l <= d <= p.delta_r
     elapsed = time.perf_counter() - start
-    ok = exact == len(us) and bounded == len(us) and elapsed < 1.0
-    _report(
-        "dead-zone identity suite", ok,
-        f"{exact}/{len(us)} exact, {bounded}/{len(us)} in band, {elapsed:.2f} s (< 1 s)",
-    )
-    assert exact == len(us)
-    assert bounded == len(us)
-    assert elapsed < 1.0
+    _accept("dead-zone identity suite", [
+        ("exact", exact, "==", len(us)),
+        ("in band", bounded, "==", len(us)),
+        ("seconds", elapsed, "<", 1.0),
+    ])
 
 
 def test_fuzzy_oracle_equivalence():
@@ -76,14 +84,10 @@ def test_fuzzy_oracle_equivalence():
     for u in np.linspace(-2.2, 2.2, 10_000):
         worst_pu = max(worst_pu, abs(sum(membership(u, centers)) - 1.0))
 
-    ok = worst_rel <= 1e-12 and worst_pu <= 1e-12
-    _report(
-        "fuzzy oracle equivalence", ok,
-        f"worst relative gap {worst_rel:.2e} (<= 1e-12), "
-        f"worst partition defect {worst_pu:.2e} (<= 1e-12)",
-    )
-    assert worst_rel <= 1e-12
-    assert worst_pu <= 1e-12
+    _accept("fuzzy oracle equivalence", [
+        ("worst relative gap", worst_rel, "<=", 1e-12),
+        ("worst partition defect", worst_pu, "<=", 1e-12),
+    ])
 
 
 def test_coefficient_arithmetic():
@@ -99,15 +103,10 @@ def test_coefficient_arithmetic():
         "a2": (a2, 93.73333333333333),
         "b": (b, 762.2875788973453),
     }
-    worst = max(abs(got - want) / abs(want) for got, want in expected.values())
-    ok = worst <= 1e-12
-    _report(
-        "coefficient arithmetic", ok,
-        f"a0={a0:.12g} a1={a1:.12g} a2={a2:.12g} b={b:.12g}, "
-        f"worst relative error {worst:.2e} (<= 1e-12)",
-    )
-    for name, (got, want) in expected.items():
-        assert got == pytest.approx(want, rel=1e-12), name
+    _accept("coefficient arithmetic", [
+        (f"{name} relative error", abs(got - want) / abs(want), "<=", 1e-12)
+        for name, (got, want) in expected.items()
+    ], note=f"; a0={a0:.12g} a1={a1:.12g} a2={a2:.12g} b={b:.12g}")
 
 
 def test_integrator_order():
@@ -128,17 +127,13 @@ def test_integrator_order():
             exact = phi @ exact
             worst = max(worst, abs(s[0] - exact[0]))
         errors.append(worst)
-    p1 = math.log2(errors[0] / errors[1])
-    p2 = math.log2(errors[1] / errors[2])
-    ok = errors[0] < 1e-9 and 3.7 <= p1 <= 4.3 and 3.7 <= p2 <= 4.3
-    _report(
-        "integrator order", ok,
-        f"max errors {errors[0]:.2e}/{errors[1]:.2e}/{errors[2]:.2e}, "
-        f"orders {p1:.3f}, {p2:.3f} (within [3.7, 4.3])",
-    )
-    assert errors[0] < 1e-9
-    assert 3.7 <= p1 <= 4.3
-    assert 3.7 <= p2 <= 4.3
+    orders = {"800/1600 Hz": math.log2(errors[0] / errors[1]),
+              "1600/3200 Hz": math.log2(errors[1] / errors[2])}
+    _accept("integrator order", [
+        ("max error at 800 Hz", errors[0], "<", 1e-9),
+        *[(f"order {rates}", order, op, bound) for rates, order in orders.items()
+          for op, bound in ((">=", 3.7), ("<=", 4.3))],
+    ], note=f"; max errors at 1600 and 3200 Hz {errors[1]:.2e}, {errors[2]:.2e}")
 
 
 def test_fig3_tracking_and_estimator_convergence(default_run, long_run):
@@ -148,17 +143,11 @@ def test_fig3_tracking_and_estimator_convergence(default_run, long_run):
     times the 260 s run that the 120 s run is the prefix of."""
     _, elapsed = long_run
     m = default_run.metrics
-    rms_ratio = m.rms_xerr_final_quarter / m.rms_xerr_first_quarter
-    dz_ratio = m.mean_dz_err_final_quarter / m.mean_dz_err_first_quarter
-    ok = rms_ratio <= 0.20 and dz_ratio <= 0.50 and elapsed < 10.0
-    _report(
-        "tracking-run reproduction", ok,
-        f"rms ratio {rms_ratio:.3f} (<= 0.20), estimate ratio {dz_ratio:.3f} (<= 0.50), "
-        f"{elapsed:.2f} s (< 10 s)",
-    )
-    assert elapsed < 10.0
-    assert dz_ratio <= 0.50
-    assert rms_ratio <= 0.20
+    _accept("tracking-run reproduction", [
+        ("seconds", elapsed, "<", 10.0),
+        ("estimate ratio", m.mean_dz_err_final_quarter / m.mean_dz_err_first_quarter, "<=", 0.50),
+        ("rms ratio", m.rms_xerr_final_quarter / m.rms_xerr_first_quarter, "<=", 0.20),
+    ])
 
 
 def test_fig4_varying_supply_robustness(default_run, varying_run):
@@ -167,24 +156,16 @@ def test_fig4_varying_supply_robustness(default_run, varying_run):
     tracking error."""
     ratio = (varying_run.metrics.rms_xerr_final_quarter
              / default_run.metrics.rms_xerr_final_quarter)
-    ok = ratio <= 1.5
-    _report(
-        "varying-supply robustness", ok,
-        f"completed without blow-up, final-quarter rms ratio {ratio:.3f} (<= 1.5)",
-    )
-    assert ratio <= 1.5
+    _accept("varying-supply robustness", [("final-quarter rms ratio", ratio, "<=", 1.5)],
+            note="; completed without blow-up")
 
 
 def test_ablation_frozen_adaptation(default_run, frozen_run):
     """Disabling adaptation (zero compensation) must degrade tracking."""
     a = default_run.metrics.rms_xerr_final_quarter
     f = frozen_run.metrics.rms_xerr_final_quarter
-    ok = f > a
-    _report(
-        "frozen-adaptation ablation", ok,
-        f"frozen rms {f:.4g} vs adaptive rms {a:.4g} ({f/a:.1f}x worse)",
-    )
-    assert f > a
+    _accept("frozen-adaptation ablation", [("frozen rms", f, ">", a)],
+            note=f"; {f / a:.1f}x the adaptive rms")
 
 
 def test_window_monitor_violations(long_run):
@@ -205,37 +186,24 @@ def test_window_monitor_violations(long_run):
     violations = sum(
         1 for lo, hi in zip(report.window_rms, report.window_rms[1:]) if not hi <= 1.05 * lo
     )
-    ok = len(report.window_rms) >= 3 and violations == 0
-    _report(
-        "stability monitor", ok,
-        f"{violations} window violations of {max(len(report.window_rms) - 1, 0)} "
-        f"pairs of {period:.1f} s windows (require 0, with >= 2 pairs); window rms "
-        + ", ".join(f"{w:.3g}" for w in report.window_rms),
-    )
-    assert len(report.window_rms) >= 3
-    assert violations == 0
-    assert report.rms_violations == violations
+    _accept("stability monitor", [
+        (f"{period:.1f} s windows", len(report.window_rms), ">=", 3),
+        ("window violations", violations, "==", 0),
+        ("the monitor's count", report.rms_violations, "==", violations),
+    ], note="; window rms " + ", ".join(f"{w:.3g}" for w in report.window_rms))
 
 
-def test_determinism_byte_identical_csv(default_run, tmp_path):
+def test_determinism_byte_identical_csv(default_run):
     """A fresh default run must hold the series of the default_run fixture,
-    the first 120 s of the 260 s run, bit for bit, score to equal metrics and
-    monitor report, and serialize to a byte-identical CSV: one check of
-    determinism, of the prefix property and of the fixture's rescoring."""
+    the first 120 s of the 260 s run, bit for bit, and score to equal metrics
+    and monitor report: one check of determinism, of the prefix property and
+    of the fixture's rescoring. The CSV is a function of the series, and
+    test_default_runs_keep_their_digests pins the prefix's CSV bytes."""
     fresh = nominal_run(Scenario())
     differ = [name for name in SERIES
               if getattr(default_run, name).tobytes() != getattr(fresh, name).tobytes()]
     scores = (fresh.metrics, fresh.monitor) == (default_run.metrics, default_run.monitor)
-    p1, p2 = tmp_path / "prefix.csv", tmp_path / "fresh.csv"
-    write_csv(default_run, p1)
-    write_csv(fresh, p2)
-    same = p1.read_bytes() == p2.read_bytes()
-    _report(
-        "determinism", same and scores and not differ,
-        f"fresh 120 s run against the 260 s run's prefix, series differing bitwise: "
-        f"{differ or 'none'}, equal scores: {scores}, {p1.stat().st_size} bytes each, "
-        f"byte-identical: {same}",
-    )
-    assert not differ
-    assert scores
-    assert same
+    _accept("determinism", [
+        ("series differing bitwise", differ, "==", []),
+        ("equal scores", scores, "==", True),
+    ], note="; fresh 120 s run against the 260 s run's prefix")

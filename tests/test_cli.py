@@ -8,6 +8,7 @@ import sys
 import textwrap
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,20 +301,17 @@ def no_run(monkeypatch):
 
 
 class TestMain:
-    def test_successful_run(self, tmp_path, capsys):
+    def test_successful_run(self, tmp_path, capsys, monkeypatch):
+        # the summary times the run from the clock's two readings around it
+        clock = iter((100.0, 100.25))
+        monkeypatch.setattr("ehservo.cli.time", SimpleNamespace(perf_counter=lambda: next(clock)))
         out = tmp_path / "out.csv"
         code = main(["run", "--duration", "1", "--out", str(out)])
         assert code == 0
-        assert out.exists()
+        assert "wall-clock time                   : 0.25 s" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 401
-
-    def test_config_error_exit_code(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "delta_r = -1\n")
-        code = main(["run", "--config", str(cfg)])
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
 
     def test_blow_up_exit_code(self, tmp_path, capsys):
         cfg = _write(tmp_path, "x0 = 1e306\n")
@@ -332,33 +330,6 @@ class TestMain:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "kappa*b0*dt_control = 2.67 > 2" in err
-
-    def test_print_config_echoes_defaults(self, capsys):
-        code = main(["run", "--print-config"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "kappa = 1.0" in out
-        assert "phi = 0.5" in out
-        assert "lambda = 8.0" in out
-        assert "delta_l = -1.1" in out
-        assert "centers = -0.5, -0.1, -0.05, 0.0, 0.05, 0.1, 0.5" in out
-
-    def test_freeze_flag_zeroes_estimate(self, tmp_path):
-        out = tmp_path / "frozen.csv"
-        assert main(["run", "--duration", "1", "--freeze-adaptation", "--out", str(out)]) == 0
-        parsed = np.genfromtxt(out, delimiter=",", names=True)
-        assert np.all(parsed["dhat"] == 0.0)
-        out2 = tmp_path / "live.csv"
-        assert main(["run", "--duration", "1", "--out", str(out2)]) == 0
-        parsed2 = np.genfromtxt(out2, delimiter=",", names=True)
-        assert np.any(parsed2["dhat"] != 0.0)
-
-    def test_scenario_flag_switches_supply_mode(self, tmp_path):
-        out = tmp_path / "vary.csv"
-        assert main(["run", "--duration", "30", "--scenario", "varying-ps",
-                     "--out", str(out)]) == 0
-        parsed = np.genfromtxt(out, delimiter=",", names=True)
-        assert parsed["Ps"].std() > 0.0
 
     def test_batch_mode(self, tmp_path, capsys):
         batch = tmp_path / "batch"
@@ -427,6 +398,7 @@ class TestMain:
         # one parser serves every call of main in a process
         assert main(["run", "--print-config"]) == 0
         defaults = capsys.readouterr().out
+        assert defaults == config_dump(resolve_config({}))
         with pytest.raises(SystemExit) as stop:
             main(["run", "--bogus"])
         assert stop.value.code == 2
@@ -435,7 +407,6 @@ class TestMain:
         assert "duration = 5.0\n" in capsys.readouterr().out
         assert main(["run", "--print-config"]) == 0
         assert capsys.readouterr().out == defaults
-        assert "duration = 120.0\n" in defaults
 
     @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
     def test_closed_stdout_finishes_the_batch(self, flags, tmp_path):
@@ -463,19 +434,6 @@ class TestMain:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["constant_ps.csv", "constant_ps_frozen.csv", "varying_ps.csv"]
 
-    # the flag goes through the duration key's parsing and checks, which
-    # test_non_finite_number_named and test_sim's test_bad_duration cover
-    @pytest.mark.parametrize("value", ["abc", "-1"])
-    def test_bad_duration_flag_is_config_error(self, value, capsys):
-        assert main(["run", "--duration", value]) == 1
-        err = capsys.readouterr().err
-        assert "config error:" in err
-        assert "duration" in err
-
-    def test_bad_scenario_flag_is_config_error(self, capsys):
-        assert main(["run", "--scenario", "constant"]) == 1
-        assert "config error: --scenario" in capsys.readouterr().err
-
     def test_flags_override_config_keys(self, tmp_path, capsys):
         cfg = _write(tmp_path, "duration = abc\nsupply_pressure_mode = constant\n")
         assert main(["run", "--config", str(cfg), "--duration", "5",
@@ -485,14 +443,19 @@ class TestMain:
         assert "supply_pressure_mode = varying" in out
         assert "freeze_adaptation = true" in out
 
-    # an empty --out or --batch would run and write no CSV, and an empty
-    # --config would run the defaults; finite, positive plant constants whose
-    # products underflow leave the model no input gain;
+    # a bad value in the file or a bad flag, which goes through its key's
+    # parsing and checks; an empty --out or --batch would run and write no
+    # CSV, and an empty --config would run the defaults; finite, positive
+    # plant constants whose products underflow leave the model no input gain;
     # a reference phase omega*t that overflows would reach sin(inf), and a
     # reference jerk amplitude*omega**3 that overflows a non-finite control;
     # centers whose gap overflows would stop interpolating
     @pytest.mark.parametrize("line, flags, error", [
         ("kappa = inf", [], "config error: kappa"),
+        ("delta_r = -1", [], "config error: delta_r "),
+        ("", ["--duration", "abc"], "config error: key 'duration': "),
+        ("", ["--duration", "-1"], "config error: duration "),
+        ("", ["--scenario", "constant"], "config error: --scenario "),
         ("", ["--out", ""], "config error: --out "),
         ("", ["--batch", ""], "config error: --batch "),
         ("", ["--config", ""], "config error: --config "),
@@ -502,8 +465,9 @@ class TestMain:
         ("amplitude = 0\nomega = 1e308", ["--duration", "2"], "config error: omega "),
         ("omega = 1e103", ["--duration", "1"], "config error: omega "),
         ("centers = -1e308, 1e308", [], "config error: centers "),
-    ], ids=["kappa", "out_flag", "batch_flag", "config_flag", "vt_mt", "cd_kv", "gain_floor",
-            "omega", "omega_jerk", "centers_gap"])
+    ], ids=["kappa", "delta_r", "duration_flag", "duration_negative", "scenario_flag",
+            "out_flag", "batch_flag", "config_flag", "vt_mt", "cd_kv", "gain_floor", "omega",
+            "omega_jerk", "centers_gap"])
     def test_bad_value_rejected_before_run(self, line, flags, error, tmp_path, capsys,
                                            no_run):
         cfg = _write(tmp_path, line + "\n")

@@ -30,10 +30,6 @@ def cp(model):
 
 
 class TestParamsValidation:
-    def test_defaults(self, cp):
-        assert cp.lam == 8.0 and cp.c0 == 64.0 and cp.c1 == 16.0
-        assert cp.kappa == 1.0 and cp.phi == 0.5
-
     # lam = 1e-170 is positive, but its square underflows to 0. A zero, infinite
     # or overflowing lam and an infinite kappa or phi are config cases of
     # test_cli.py, which also name the key
@@ -90,7 +86,8 @@ class TestCombinedError:
         assert combined_error(0.0, 0.0, 0.0, cp) == 0.0
 
     def test_position_weight(self, cp):
-        assert combined_error(1.0, 0.0, 0.0, cp) == 64.0
+        # 64*0.2 - 16*0.4 + 1.7, every term live
+        assert combined_error(0.2, -0.4, 1.7, cp) == 8.1
 
     def test_linearity(self, cp):
         e1 = combined_error(0.2, -0.4, 1.7, cp)
@@ -99,19 +96,20 @@ class TestCombinedError:
 
 
 class TestEquivalentControl:
+    # every term of the numerator live
+    ARGS = (0.05, 0.01, -0.002, ReferencePoint(0.01, 0.002, -0.001, 0.0005), (28.0, 16837.6, 93.7))
+
     def test_all_zero(self, cp):
         assert equivalent_control(0.0, 0.0, 0.0, ZERO_REF, (0.0, 0.0, 0.0), 762.3, cp) == 0.0
 
     def test_hand_value(self, cp):
-        # -c1 * xerr_ddot / b with a = 0: -16/762.3
-        u_hat = equivalent_control(0.0, 0.0, 1.0, ZERO_REF, (0.0, 0.0, 0.0), 762.3, cp)
-        assert u_hat == pytest.approx(-0.02098911189820281, rel=1e-12)
+        # (28*0.05 + 16837.6*0.01 - 93.7*0.002 + 0.0005 + 16*0.001 - 64*0.008) / 400
+        u_hat = equivalent_control(*self.ARGS, 400.0, cp)
+        assert u_hat == pytest.approx(0.42273275, rel=1e-12)
 
     def test_doubling_gain_halves_output(self, cp):
-        a = (28.0, 16837.6, 93.7)
-        ref = ReferencePoint(0.01, 0.002, -0.001, 0.0005)
-        u1 = equivalent_control(0.05, 0.01, -0.002, ref, a, 400.0, cp)
-        u2 = equivalent_control(0.05, 0.01, -0.002, ref, a, 800.0, cp)
+        u1 = equivalent_control(*self.ARGS, 400.0, cp)
+        u2 = equivalent_control(*self.ARGS, 800.0, cp)
         assert u2 == pytest.approx(0.5 * u1, rel=1e-12)
 
 

@@ -49,11 +49,6 @@ def ratio_form(u_hat, centers, d_hat):
 
 
 class TestEstimatorValidation:
-    def test_default_grid(self):
-        est = FuzzyEstimator()
-        assert est.centers == C
-        assert est.d_hat == (0.0,) * 7
-
     def test_too_few_centers(self):
         with pytest.raises(ValueError, match="at least 2"):
             FuzzyEstimator([0.0])
@@ -128,11 +123,10 @@ class TestAdapt:
         assert adapt(d_hat, 0.0, psi, 0.5, 0.0025) == d_hat
 
     def test_single_step_hand_value(self):
-        # active entry moves by -phi*e*dt = -0.5*1*0.0025
-        psi = membership(0.0, C)
+        # each firing entry moves by -phi*e*dt*w = -0.5*1*0.0025*w, w = 0.75 and 0.25
+        psi = membership(0.0125, C)
         out = adapt(FuzzyEstimator().d_hat, 1.0, psi, 0.5, 0.0025)
-        assert out[3] == -0.00125
-        assert all(out[i] == 0.0 for i in range(7) if i != 3)
+        assert out == (0.0, 0.0, 0.0, -0.0009375, -0.0003125, 0.0, 0.0)
 
     def test_two_steps_equal_one_double_step(self):
         d_hat = (0.4,) * 7

@@ -23,9 +23,6 @@ def params():
 
 
 class TestParamsValidation:
-    def test_defaults_valid(self):
-        PlantParams()
-
     @pytest.mark.parametrize("field", ["Ps", "rho", "Cd", "w", "Ap", "beta_e", "Vt", "Mt", "kv"])
     def test_positive_fields_rejected_at_zero(self, field):
         with pytest.raises(ValueError, match=field):
@@ -37,10 +34,11 @@ class TestParamsValidation:
             PlantParams(**{field: -1.0})
 
     def test_dead_zone_edges_ordering(self):
-        with pytest.raises(ValueError, match="delta_l"):
-            PlantParams(delta_l=0.5)
-        with pytest.raises(ValueError, match="delta_r"):
-            PlantParams(delta_r=-0.5)
+        # the band holds 0 strictly inside: an edge at 0 is refused too
+        for field, value in (("delta_l", 0.5), ("delta_l", 0.0),
+                             ("delta_r", -0.5), ("delta_r", 0.0)):
+            with pytest.raises(ValueError, match=field):
+                PlantParams(**{field: value})
 
 
 class TestLoadFlow:

@@ -37,15 +37,11 @@ SHUT_SPOOL = replace(
 
 
 class TestScenarioValidation:
-    def test_defaults(self):
-        sc = Scenario()
-        assert sc.substeps == 2
-        assert sc.n_steps == 48000
-        assert sc.duration == 120.0
-
     def test_non_integer_rate_ratio(self):
-        with pytest.raises(ValueError, match="integer multiple"):
-            Scenario(dt_plant=1 / 800, dt_control=1 / 300)
+        # a ratio of 2.0001 is off by 5e-5 of dt_control, far outside the 1e-9 tolerance
+        for dt_control in (1 / 300, 2.0001 / 800):
+            with pytest.raises(ValueError, match="integer multiple"):
+                Scenario(dt_plant=1 / 800, dt_control=dt_control)
         # a ratio that overflows has no step count to round to
         with pytest.raises(ValueError, match="dt_plant"):
             Scenario(dt_plant=5e-324)
@@ -379,14 +375,13 @@ class TestKernelReplay:
         assert np.any((uhat > centers[0]) & (uhat < centers[-1]))
 
 
-def _monitor_report(e, uhat=None, dhat=None, centers=DEFAULT_CENTERS,
-                    monitor=MonitorParams()):
-    """The report run's scorer gives a series e at the default 400 Hz, with
-    zero xerr and d, and uhat and dhat zero unless given."""
+def _score(e, uhat=None, dhat=None, d=None, centers=DEFAULT_CENTERS, monitor=MonitorParams()):
+    """The metrics and report run's scorer gives a series e at the default
+    400 Hz, with zero xerr, and uhat, dhat and d zero unless given."""
     z = np.zeros(len(e))
-    series = {"xerr": z, "d": z, "dhat": z if dhat is None else dhat,
+    series = {"xerr": z, "d": z if d is None else d, "dhat": z if dhat is None else dhat,
               "e": np.asarray(e, dtype=float), "uhat": z if uhat is None else uhat}
-    return sim._compute_metrics(series, 0.0025, centers, monitor)[1]
+    return sim._compute_metrics(series, 0.0025, centers, monitor)
 
 
 class TestMonitorParamsValidation:
@@ -399,39 +394,52 @@ class TestMonitorParamsValidation:
 
 class TestStabilityMonitor:
     def test_zero_error_series_clean(self):
-        rep = _monitor_report(np.zeros(48000))
+        rep = _score(np.zeros(48000))[1]
         assert rep.rms_violations == 0
         assert rep.final_window_mean_abs_e == 0.0
         assert rep.sign_violations == 0
 
     def test_growing_error_flags_every_pair(self):
-        rep = _monitor_report(np.linspace(0.001, 10.0, 48000))
+        rep = _score(np.linspace(0.001, 10.0, 48000))[1]
         assert len(rep.window_rms) == 9
         assert rep.rms_violations == 8
 
     def test_sign_check_counts_mismatches(self):
+        # right of the innermost positive center an estimate <= 0 is a
+        # mismatch, and mirrored left of the innermost negative one; on those
+        # centers or between them nothing counts
         n = 48000
-        uhat = np.full(n, 0.2)          # clearly right of the innermost center
-        dhat = np.full(n, -0.05)        # wrong sign for the right edge
-        rep = _monitor_report(np.zeros(n), uhat=uhat, dhat=dhat)
-        assert rep.sign_violations == 4000  # every sample of the final 10 s window
-        rep2 = _monitor_report(np.zeros(n), uhat=uhat, dhat=-dhat)
-        assert rep2.sign_violations == 0
+        cases = [(0.2, -0.05, 4000),  # every sample of the final 10 s window
+                 (0.2, 0.0, 4000), (0.2, 0.05, 0), (0.05, -0.05, 0), (0.03, -0.05, 0)]
+        for sign in (1.0, -1.0):
+            for uhat, dhat, count in cases:
+                rep = _score(np.zeros(n), uhat=np.full(n, sign * uhat),
+                             dhat=np.full(n, sign * dhat))[1]
+                assert rep.sign_violations == count, (sign * uhat, sign * dhat)
+
+    def test_estimate_error_quarters(self):
+        # mean |d_hat - d| over the first quarter and over the final one
+        d = np.full(400, 0.9)
+        dhat = np.full(400, 0.5)
+        dhat[:100], dhat[300:] = -0.1, 0.65
+        metrics = _score(np.zeros(400), dhat=dhat, d=d)[0]
+        assert metrics.mean_dz_err_first_quarter == pytest.approx(1.0, rel=1e-12)
+        assert metrics.mean_dz_err_final_quarter == pytest.approx(0.25, rel=1e-12)
 
     def test_threshold_comparison(self):
         # the final-window mean |e| bound is 0.1
-        rep = _monitor_report(np.full(48000, 0.2))
+        rep = _score(np.full(48000, 0.2))[1]
         assert not rep.final_mean_ok
-        rep = _monitor_report(np.full(48000, 0.05))
+        rep = _score(np.full(48000, 0.05))[1]
         assert rep.final_mean_ok
 
     def test_sign_check_uses_the_run_grid(self):
         # innermost centers at +/-0.2 instead of the default +/-0.05
         series = {"e": np.zeros(48000), "uhat": np.full(48000, 0.1),
                   "dhat": np.full(48000, -0.05)}
-        assert _monitor_report(**series).sign_violations == 4000
+        assert _score(**series)[1].sign_violations == 4000
         grid = (-0.5, -0.2, 0.0, 0.2, 0.5)
-        assert _monitor_report(**series, centers=grid).sign_violations == 0
+        assert _score(**series, centers=grid)[1].sign_violations == 0
 
     def test_overflowing_window_next_to_plain_ones(self):
         # only the window whose squares overflow is rescaled; the others keep
@@ -440,7 +448,7 @@ class TestStabilityMonitor:
         e = 1e-3 * (1.5 + np.sin(0.01 * np.arange(48000)))
         q, w = 12000, 4000
         e[q + 4 * w:q + 5 * w] = 1e200
-        rep = _monitor_report(e)
+        rep = _score(e)[1]
         assert len(rep.window_rms) == 9
         for k, rms in enumerate(rep.window_rms):
             seg = e[q + k * w:q + (k + 1) * w]
@@ -458,6 +466,8 @@ class TestStabilityMonitor:
         assert huge.monitor.window_rms == ()
         long = nominal_run(sc, monitor=MonitorParams(window=1000.0))
         assert huge.monitor == long.monitor
+        # the shortest run Scenario allows, 4 rows, scores none of its 10 s windows
+        assert _score(np.zeros(4))[1].window_rms == ()
 
     def test_run_scores_with_its_grid(self):
         # run's report is its scorer's on its series and its estimator's own
