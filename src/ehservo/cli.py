@@ -204,8 +204,8 @@ def _say(line: str) -> None:
         os.close(devnull)
 
 
-def summarize(result: SimResult, elapsed: float | None = None) -> None:
-    """Print the summary metrics of a finished run to standard output."""
+def summarize(result: SimResult, elapsed: float) -> None:
+    """Print a finished run's summary metrics and wall-clock time to standard output."""
     met, mon = result.metrics, result.monitor
     _say(f"rms tracking error, first quarter : {met.rms_xerr_first_quarter:.6g} m")
     _say(f"rms tracking error, final quarter : {met.rms_xerr_final_quarter:.6g} m")
@@ -218,8 +218,7 @@ def summarize(result: SimResult, elapsed: float | None = None) -> None:
          f"(threshold {MONITOR_E_THRESHOLD:.6g}, "
          f"{'ok' if mon.final_mean_ok else 'EXCEEDED'})")
     _say(f"estimate sign violations          : {mon.sign_violations}")
-    if elapsed is not None:
-        _say(f"wall-clock time                   : {elapsed:.2f} s")
+    _say(f"wall-clock time                   : {elapsed:.2f} s")
 
 
 @functools.cache

@@ -131,7 +131,8 @@ class MonitorReport:
     (ii) the final-window mean |e| sits at or below MONITOR_E_THRESHOLD, and
     (iii) in the final window the compensation estimate has the sign of the
     active dead-zone edge whenever the equivalent control is clearly outside
-    the innermost centers of the run's own membership grid.
+    the innermost centers of the run's own membership grid. A side of the
+    grid with no center counts nothing.
     """
 
     window_rms: tuple[float, ...]   # one per scored window
@@ -251,11 +252,13 @@ def run(
     The loop runs over plain floats, the plant state as the x, v, PL that
     plant_derivatives and rk4_step take. It inlines reference_at,
     combined_error, input_gain_b, equivalent_control, membership, infer,
-    control_law, adapt, dead_zone_d, sgn, acceleration, supply_pressure,
-    rk4_step and the four plant_derivatives stages of each substep in their
-    exact operation order: it is the one copy of those written references,
-    and every series equals the one they give, bit for bit. The tests compose
-    the same loop from the public functions and require run to equal it.
+    control_law, adapt, dead_zone_d, sgn, acceleration, rk4_step and the
+    four plant_derivatives stages of each substep in their exact operation
+    order: it is the one copy of those written references, and every series
+    equals the one they give, bit for bit. It calls supply_pressure once, for
+    the starting supply, and inlines only its varying law after each substep.
+    The tests compose the same loop from the public functions and require run
+    to equal it.
 
     Each step writes its row of the twelve series once, in SERIES order; a
     frozen run's dhat is +0.0.
@@ -490,14 +493,12 @@ def _compute_metrics(
         final = slice(q, n)
     final_mean = float(np.mean(np.abs(e[final])))
 
-    pos_inner = min((c for c in centers if c > 0.0), default=None)
-    neg_inner = max((c for c in centers if c < 0.0), default=None)
-    sign_violations = 0
+    # a grid side with no center has its innermost one at infinity: no sample counts
+    pos_inner = min((c for c in centers if c > 0.0), default=math.inf)
+    neg_inner = max((c for c in centers if c < 0.0), default=-math.inf)
     uh, dh = uhat[final], dhat[final]
-    if pos_inner is not None:
-        sign_violations += int(np.sum((uh > pos_inner) & (dh <= 0.0)))
-    if neg_inner is not None:
-        sign_violations += int(np.sum((uh < neg_inner) & (dh >= 0.0)))
+    sign_violations = int(np.sum((uh > pos_inner) & (dh <= 0.0))
+                          + np.sum((uh < neg_inner) & (dh >= 0.0)))
 
     dz_err = np.abs(dhat - d)
     rms_first, rms_final = _rms(np.stack((xerr[:q], xerr[n - q:]))).tolist()

@@ -133,3 +133,26 @@ def nominal_run(sc: Scenario, est: FuzzyEstimator = FuzzyEstimator(),
     """run on the default plant, which is also the controller's model."""
     plant = PlantParams()
     return run(sc, plant, ControllerParams(model=plant), est, monitor)
+
+
+def exact_inverse(plant: PlantParams) -> tuple[FuzzyEstimator, ControllerParams]:
+    """The estimator and controller of the exact dead-zone inverse of plant.
+
+    Two rules at +/-1e-9 V hold the true edges, so d_hat is delta_r for an
+    equivalent control above 1e-9 V and delta_l below -1e-9 V, and an
+    adaptation rate of 1e-300 leaves them where they are.
+    """
+    return (FuzzyEstimator(centers=(-1e-9, 1e-9), d_hat=(plant.delta_l, plant.delta_r)),
+            ControllerParams(phi=1e-300, model=plant))
+
+
+def sampled_data_floor(sc: Scenario, cp: ControllerParams) -> float:
+    """|e| that the zero-order hold leaves with the compensation exact.
+
+    Within one control period the model term a1*x' drifts by up to
+    a1*A*omega^2*dt_control, which the held voltage cannot follow, leaving
+    |e| near a1*A*omega^2*dt_control/(2*b*kappa), with b the input gain at rest.
+    """
+    a1 = model_coefficients(cp.model)[1]
+    return (a1 * sc.amplitude * sc.omega**2 * sc.dt_control
+            / (2.0 * input_gain_b(0.0, 0.0, 0.0, 0.0, cp.model) * cp.kappa))

@@ -286,7 +286,7 @@ class TestSummarize:
         assert "wall-clock time" in out
 
     def test_reports_violations(self, capsys):
-        summarize(_short_run())
+        summarize(_short_run(), elapsed=0.5)
         out = capsys.readouterr().out
         assert "rms-window violations" in out
         assert "final-window mean |e|" in out

@@ -18,7 +18,6 @@ from ehservo import (
     Scenario,
     dead_zone_output,
     input_gain_b,
-    model_coefficients,
     plant_derivatives,
     reference_at,
     rk4_step,
@@ -28,7 +27,13 @@ from ehservo import (
 from ehservo import sim
 from ehservo.sim import SERIES, SUPPLY_MODES
 from lyapunov import lyapunov_series
-from reference import assert_run_replays, nominal_run, reference_run
+from reference import (
+    assert_run_replays,
+    exact_inverse,
+    nominal_run,
+    reference_run,
+    sampled_data_floor,
+)
 
 # a dead band that holds every finite voltage: the spool never opens
 SHUT_SPOOL = replace(
@@ -433,6 +438,20 @@ class TestStabilityMonitor:
         rep = _score(np.full(48000, 0.05))[1]
         assert rep.final_mean_ok
 
+    def test_sign_check_on_one_sided_grids(self):
+        # a grid with no center on one side counts nothing on that side, and
+        # on the other counts what the symmetric grid counts
+        n = 48000
+        symmetric = (-0.5, -0.1, 0.1, 0.5)
+        for side in (1.0, -1.0):
+            grid = (-0.5, -0.1) if side > 0.0 else (0.1, 0.5)  # no center on this side
+            missing, present = ({"e": np.zeros(n), "uhat": np.full(n, s * 0.2),
+                                 "dhat": np.full(n, -s * 0.05)} for s in (side, -side))
+            for series in (missing, present):
+                assert _score(**series, centers=symmetric)[1].sign_violations == 4000
+            assert _score(**missing, centers=grid)[1].sign_violations == 0
+            assert _score(**present, centers=grid)[1].sign_violations == 4000
+
     def test_sign_check_uses_the_run_grid(self):
         # innermost centers at +/-0.2 instead of the default +/-0.05
         series = {"e": np.zeros(48000), "uhat": np.full(48000, 0.1),
@@ -495,19 +514,14 @@ class TestClosedLoopProperties:
         99% of the post-transient samples with |e| >= 1e-3.
 
         The argument bounds V, not e^2 alone: with the compensation exact, e may
-        still rise where it sits at its floor. That floor comes from the
-        zero-order hold: within one control period the model term a1*x' drifts
-        by up to a1*A*omega^2*dt_control, which the held voltage cannot follow,
-        leaving |e| near a1*A*omega^2*dt_control/(2*b*kappa), about 7e-4.
-        Below it the sign of a one-sample change in V says nothing of the law.
+        still rise where it sits at its floor, the zero-order hold's
+        sampled_data_floor, about 7e-4. Below it the sign of a one-sample
+        change in V says nothing of the law.
         """
         plant = PlantParams()
         cp = ControllerParams(model=plant)
-        sc = Scenario()
         V = lyapunov_series(default_reference, FuzzyEstimator().centers, plant, cp.phi)
-        floor = (model_coefficients(cp.model)[1] * sc.amplitude * sc.omega**2
-                 * sc.dt_control / (2.0 * input_gain_b(0.0, 0.0, 0.0, 0.0, cp.model)
-                                    * cp.kappa))
+        floor = sampled_data_floor(Scenario(), cp)
         threshold = 1e-3
         i0 = max(1, len(V) // 4)
         counted = np.abs(default_run.e[i0:]) >= threshold
@@ -516,6 +530,18 @@ class TestClosedLoopProperties:
               f"sampled-data floor {floor:.2g}): {frac:.4f} over {counted.sum()} samples")
         assert threshold > floor
         assert frac >= 0.99
+
+    def test_exact_inverse_error_sits_at_the_sampled_data_floor(self):
+        """With the dead zone inverted exactly, what is left of e on constant
+        supply is the zero-order hold's: the final-quarter max |e| is within a
+        factor of two of sampled_data_floor."""
+        plant = PlantParams()
+        est, cp = exact_inverse(plant)
+        sc = Scenario()
+        e = run(sc, plant, cp, est).e
+        ratio = float(np.max(np.abs(e[len(e) - len(e) // 4:]))) / sampled_data_floor(sc, cp)
+        print(f"\n  exact inverse, final-quarter max |e| / sampled-data floor: {ratio:.3f}")
+        assert 0.5 <= ratio <= 2.0
 
     @pytest.mark.parametrize("kappa, rate, product, blows_up", [
         (6.0, 400, 2.29, False), (7.0, 400, 2.67, True), (7.0, 800, 1.33, False),
