@@ -8,7 +8,6 @@ estimator, a deterministic multirate executor and a scenario-running CLI.
 
 from .controller import (
     ControllerParams,
-    ReferencePoint,
     combined_error,
     control_law,
     equivalent_control,
@@ -50,7 +49,6 @@ __all__ = [
     "MonitorParams",
     "MonitorReport",
     "PlantParams",
-    "ReferencePoint",
     "Scenario",
     "SimMetrics",
     "SimResult",

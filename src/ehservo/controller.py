@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .plant import EPS_CAV, PlantParams, check_fields
 
@@ -35,14 +34,22 @@ class ControllerParams:
         if not 0.0 < self.c0 < math.inf:
             raise ValueError(f"lam must have a positive, finite square, got {self.lam}")
         # the model's coefficients divide by Vt*Mt and the equivalent control by
-        # the input gain, which is least where the pressure drop meets its floor
+        # the input gain, which is least where the pressure drop meets its floor.
+        # The gain at rest is run's gain prefactor, the same left-to-right
+        # product, times sqrt(Ps/rho): where it is finite, so is the prefactor.
         m = self.model
         if m.Vt * m.Mt == 0.0:
             raise ValueError(f"Vt ({m.Vt}) times Mt ({m.Mt}) underflows to 0")
+        a = model_coefficients(m)
+        if not all(map(math.isfinite, a)):
+            raise ValueError(f"Vt ({m.Vt}) and the other constants give the model "
+                             f"non-finite coefficients {a}")
         b_floor = input_gain_b(0.0, 0.0, m.Ps * m.Ap / m.Mt, 1.0, m)
-        if not b_floor > 0.0:
-            raise ValueError(f"kv ({m.kv}) and the other constants give the model an input "
-                             f"gain of {b_floor} at the pressure-drop floor, not a positive one")
+        b_rest = input_gain_b(0.0, 0.0, 0.0, 1.0, m)
+        if not (b_floor > 0.0 and b_rest < math.inf):
+            raise ValueError(f"kv ({m.kv}) and the other constants give the model input gains "
+                             f"of {b_floor} at the pressure-drop floor and {b_rest} at rest, "
+                             "not positive, finite ones")
 
     @property
     def c0(self) -> float:
@@ -53,15 +60,6 @@ class ControllerParams:
     def c1(self) -> float:
         """Error-polynomial coefficient 2*lam [1/s]."""
         return 2.0 * self.lam
-
-
-class ReferencePoint(NamedTuple):
-    """Desired position and its first three time derivatives."""
-
-    xd: float
-    xd_dot: float
-    xd_ddot: float
-    xd_dddot: float
 
 
 def model_coefficients(model: PlantParams) -> tuple[float, float, float]:
@@ -111,7 +109,9 @@ def equivalent_control(
     x: float,
     x_dot: float,
     x_ddot: float,
-    ref: ReferencePoint,
+    xerr_dot: float,
+    xerr_ddot: float,
+    xd_dddot: float,
     a: tuple[float, float, float],
     b: float,
     cp: ControllerParams,
@@ -120,16 +120,16 @@ def equivalent_control(
 
     Inverts the reduced model: cancels the a-terms of the plant dynamics and
     injects the jerk reference minus the error-polynomial correction, all
-    scaled by 1/b.
+    scaled by 1/b. The error derivatives are the ones combined_error takes.
     """
     a0, a1, a2 = a
     num = (
         a0 * x
         + a1 * x_dot
         + a2 * x_ddot
-        + ref.xd_dddot
-        - cp.c1 * (x_ddot - ref.xd_ddot)
-        - cp.c0 * (x_dot - ref.xd_dot)
+        + xd_dddot
+        - cp.c1 * xerr_ddot
+        - cp.c0 * xerr_dot
     )
     return num / b
 

@@ -2,7 +2,7 @@
 
 The plant integrates with classical RK4 at the fast rate while the controller
 runs at an integer fraction of it under zero-order hold. Every control sample
-appends one row to the result; the finished series is scored with tracking
+writes one row of the result; the finished series is scored with tracking
 metrics and a stability monitor. Runs are fully deterministic: the same
 inputs always produce bit-identical series.
 
@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .controller import ControllerParams, ReferencePoint, model_coefficients
+from .controller import ControllerParams, model_coefficients
 from .fuzzy import FuzzyEstimator
 from .plant import EPS_CAV, BlowUpError, PlantParams, check_fields, plant_derivatives
 
@@ -177,17 +177,14 @@ class SimResult:
     monitor: MonitorReport
 
 
-def reference_at(t: float, amplitude: float, omega: float) -> ReferencePoint:
-    """Sinusoidal position reference and its first three derivatives at time t."""
+def reference_at(t: float, amplitude: float, omega: float) -> tuple[float, float, float, float]:
+    """Sinusoidal position reference and its first three derivatives at time t,
+    as the tuple (xd, xd_dot, xd_ddot, xd_dddot)."""
     wt = omega * t
     s = math.sin(wt)
     c = math.cos(wt)
-    return ReferencePoint(
-        amplitude * s,
-        amplitude * omega * c,
-        -amplitude * omega * omega * s,
-        -amplitude * omega * omega * omega * c,
-    )
+    return (amplitude * s, amplitude * omega * c, -amplitude * omega * omega * s,
+            -amplitude * omega * omega * omega * c)
 
 
 def supply_pressure(mode: str, x: float, ps_nominal: float) -> float:

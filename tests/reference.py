@@ -64,11 +64,11 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
     for k in range(sc.n_steps):
         t = k * sc.dt_control
         x_ddot = acceleration(x, v, PL, plant)
-        ref = reference_at(t, sc.amplitude, sc.omega)
-        xerr = x - ref.xd
-        e = combined_error(xerr, v - ref.xd_dot, x_ddot - ref.xd_ddot, cp)
+        xd, xd_dot, xd_ddot, xd_dddot = reference_at(t, sc.amplitude, sc.omega)
+        xerr, xerr_dot, xerr_ddot = x - xd, v - xd_dot, x_ddot - xd_ddot
+        e = combined_error(xerr, xerr_dot, xerr_ddot, cp)
         b = input_gain_b(x, v, x_ddot, sign_prev, cp.model)
-        u_hat = equivalent_control(x, v, x_ddot, ref, a, b, cp)
+        u_hat = equivalent_control(x, v, x_ddot, xerr_dot, xerr_ddot, xd_dddot, a, b, cp)
         if not math.isfinite(u_hat):
             raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
         d_hat = 0.0
@@ -78,7 +78,7 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
         u = control_law(u_hat, d_hat, e, cp)
         if not math.isfinite(u):
             raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
-        rows.append((t, x, ref.xd, xerr, v, PL, u, u_hat, dead_zone_d(u, plant),
+        rows.append((t, x, xd, xerr, v, PL, u, u_hat, dead_zone_d(u, plant),
                      d_hat, e, ps))
         thetas.append(theta)
         gains.append(b)

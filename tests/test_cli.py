@@ -446,7 +446,9 @@ class TestMain:
     # a bad value in the file or a bad flag, which goes through its key's
     # parsing and checks; an empty --out or --batch would run and write no
     # CSV, and an empty --config would run the defaults; finite, positive
-    # plant constants whose products underflow leave the model no input gain;
+    # plant constants whose products underflow leave the model no input gain,
+    # and ones whose products overflow leave it infinite coefficients or an
+    # infinite input gain at rest;
     # a reference phase omega*t that overflows would reach sin(inf), and a
     # reference jerk amplitude*omega**3 that overflows a non-finite control;
     # centers whose gap overflows would stop interpolating
@@ -462,11 +464,15 @@ class TestMain:
         ("vt = 1e-200\nmt = 1e-200", [], "config error: vt "),
         ("cd = 1e-200\nkv = 1e-200", [], "config error: kv "),
         ("cd = 1e-150\nkv = 1e-150\nrho = 1e300", [], "config error: kv "),
+        ("vt = 1e-300\nmt = 1e-20", [], "config error: vt "),
+        ("cd = 1e200\nw = 1e200", [], "config error: kv "),
+        ("kv = 1e-200\nap = 1e5\nvt = 1e-150\nmt = 1e-150", [], "config error: vt "),
         ("amplitude = 0\nomega = 1e308", ["--duration", "2"], "config error: omega "),
         ("omega = 1e103", ["--duration", "1"], "config error: omega "),
         ("centers = -1e308, 1e308", [], "config error: centers "),
     ], ids=["kappa", "delta_r", "duration_flag", "duration_negative", "scenario_flag",
-            "out_flag", "batch_flag", "config_flag", "vt_mt", "cd_kv", "gain_floor", "omega",
+            "out_flag", "batch_flag", "config_flag", "vt_mt", "cd_kv", "gain_floor",
+            "coefficients_overflow", "gain_at_rest_overflow", "coefficients_overflow_ap", "omega",
             "omega_jerk", "centers_gap"])
     def test_bad_value_rejected_before_run(self, line, flags, error, tmp_path, capsys,
                                            no_run):

@@ -6,7 +6,6 @@ import pytest
 from ehservo import (
     ControllerParams,
     PlantParams,
-    ReferencePoint,
     combined_error,
     control_law,
     dead_zone_d,
@@ -15,8 +14,6 @@ from ehservo import (
     input_gain_b,
     model_coefficients,
 )
-
-ZERO_REF = ReferencePoint(0.0, 0.0, 0.0, 0.0)
 
 
 @pytest.fixture
@@ -96,11 +93,12 @@ class TestCombinedError:
 
 
 class TestEquivalentControl:
-    # every term of the numerator live
-    ARGS = (0.05, 0.01, -0.002, ReferencePoint(0.01, 0.002, -0.001, 0.0005), (28.0, 16837.6, 93.7))
+    # every term of the numerator live: x, its two derivatives, the two error
+    # derivatives, the reference jerk and the model coefficients
+    ARGS = (0.05, 0.01, -0.002, 0.008, -0.001, 0.0005, (28.0, 16837.6, 93.7))
 
     def test_all_zero(self, cp):
-        assert equivalent_control(0.0, 0.0, 0.0, ZERO_REF, (0.0, 0.0, 0.0), 762.3, cp) == 0.0
+        assert equivalent_control(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0), 762.3, cp) == 0.0
 
     def test_hand_value(self, cp):
         # (28*0.05 + 16837.6*0.01 - 93.7*0.002 + 0.0005 + 16*0.001 - 64*0.008) / 400

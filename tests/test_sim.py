@@ -68,6 +68,10 @@ class TestScenarioValidation:
                 Scenario(duration=duration)
         # an indexable count passes; constructing allocates no column
         assert Scenario(duration=1e6).n_steps == 400_000_000
+        # rounded to the nearest control period: 1.0013 s is 400.52 periods and
+        # runs 401 rows (1.0025 s), 1.0012 s is 400.48 and runs 400
+        assert Scenario(duration=1.0013).n_steps == 401
+        assert Scenario(duration=1.0012).n_steps == 400
 
     def test_bad_mode(self):
         with pytest.raises(ValueError, match="supply_pressure_mode"):
@@ -81,18 +85,18 @@ class TestScenarioValidation:
 
 class TestReference:
     def test_at_zero(self):
-        ref = reference_at(0.0, 0.5, 0.1)
-        assert ref.xd == 0.0
-        assert ref.xd_dot == 0.05
-        assert ref.xd_ddot == 0.0
-        assert ref.xd_dddot == pytest.approx(-0.0005, rel=1e-12)
+        xd, xd_dot, xd_ddot, xd_dddot = reference_at(0.0, 0.5, 0.1)
+        assert xd == 0.0
+        assert xd_dot == 0.05
+        assert xd_ddot == 0.0
+        assert xd_dddot == pytest.approx(-0.0005, rel=1e-12)
 
     def test_quarter_period(self):
-        ref = reference_at(math.pi / 0.2, 0.5, 0.1)
-        assert ref.xd == pytest.approx(0.5, rel=1e-12)
-        assert ref.xd_dot == pytest.approx(0.0, abs=1e-12)
-        assert ref.xd_ddot == pytest.approx(-0.005, rel=1e-12)
-        assert ref.xd_dddot == pytest.approx(0.0, abs=1e-12)
+        xd, xd_dot, xd_ddot, xd_dddot = reference_at(math.pi / 0.2, 0.5, 0.1)
+        assert xd == pytest.approx(0.5, rel=1e-12)
+        assert xd_dot == pytest.approx(0.0, abs=1e-12)
+        assert xd_ddot == pytest.approx(-0.005, rel=1e-12)
+        assert xd_dddot == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_amplitude(self):
         for t in (0.0, 1.7, 300.0):
