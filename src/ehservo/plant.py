@@ -1,11 +1,11 @@
 """Physical model of the valve-controlled hydraulic actuator.
 
 Three-state ground truth: piston position x [m], velocity v [m/s] and load
-pressure PL [Pa]. The functions here take that state as three plain floats,
-the way sim.run's kernel holds it. The control voltage maps through the valve
-dead zone to an effective spool displacement, the spool meters flow through
-the orifice equation, and the flow feeds the pressure/force balance on the
-piston.
+pressure PL [Pa]. The functions here take that state, and the held voltage u
+and supply pressure ps, as plain floats, the way sim.run's kernel holds them.
+The control voltage maps through the valve dead zone to an effective spool
+displacement, the spool meters flow through the orifice equation against ps,
+and the flow feeds the pressure/force balance on the piston.
 
 plant_derivatives writes that right-hand side once, over dead_zone_output,
 load_flow and acceleration. The RK4 stages of sim.run are its one copy, and
@@ -39,7 +39,7 @@ class PlantParams:
     produces a dead band of [-1.1 V, 0.9 V] on the control voltage.
     """
 
-    Ps: float = 7.0e6        # supply pressure [Pa]
+    Ps: float = 7.0e6        # nominal supply pressure [Pa]
     rho: float = 850.0       # fluid density [kg/m^3]
     Cd: float = 0.6          # discharge coefficient [-]
     w: float = 2.5e-2        # orifice area gradient [m]
@@ -118,29 +118,29 @@ def dead_zone_d(u: float, p: PlantParams) -> float:
     return u
 
 
-def load_flow(x_sp: float, PL: float, p: PlantParams) -> float:
+def load_flow(x_sp: float, PL: float, ps: float, p: PlantParams) -> float:
     """Flow [m^3/s] delivered to the actuator at spool displacement x_sp.
 
-    Square-root orifice law on the pressure drop Ps - sgn(x_sp)*PL. The drop
-    is floored at EPS_CAV so the radicand stays positive when |PL| transiently
-    approaches Ps; a centered spool passes exactly zero flow.
+    Square-root orifice law on the drop ps - sgn(x_sp)*PL from the held supply
+    ps. The drop is floored at EPS_CAV so the radicand stays positive when |PL|
+    transiently approaches ps; a centered spool passes exactly zero flow.
     """
     if not (math.isfinite(x_sp) and math.isfinite(PL)):
         raise ValueError(f"load_flow requires finite inputs, got x_sp={x_sp}, PL={PL}")
     if x_sp == 0.0:
         return 0.0
-    drop = p.Ps - PL if x_sp > 0.0 else p.Ps + PL
+    drop = ps - PL if x_sp > 0.0 else ps + PL
     if drop < EPS_CAV:
         drop = EPS_CAV
     return p.Cd * p.w * x_sp * math.sqrt(drop / p.rho)
 
 
-def plant_derivatives(x: float, v: float, PL: float, u: float,
+def plant_derivatives(x: float, v: float, PL: float, u: float, ps: float,
                       p: PlantParams) -> tuple[float, float, float]:
-    """Time derivatives (dx/dt, dv/dt, dPL/dt) of state x, v, PL under held voltage u.
+    """Time derivatives (dx/dt, dv/dt, dPL/dt) of x, v, PL under held u and ps.
 
     The plant's one written right-hand side: the spool displacement through
-    the dead zone, its flow through load_flow, the force balance of
+    the dead zone, its flow through load_flow against ps, the force balance of
     acceleration and the continuity equation of the chamber pressure. The RK4
     stages of sim.run are its only copy, which the tests replay against it.
     Raises BlowUpError on a non-finite state or spool displacement.
@@ -150,7 +150,7 @@ def plant_derivatives(x: float, v: float, PL: float, u: float,
     x_sp = dead_zone_output(u, p)
     if not math.isfinite(x_sp):
         raise BlowUpError(f"non-finite spool displacement: x_sp={x_sp} at u={u}")
-    QL = load_flow(x_sp, PL, p)
+    QL = load_flow(x_sp, PL, ps, p)
     return v, acceleration(x, v, PL, p), 4.0 * p.beta_e / p.Vt * (QL - p.Ap * v - p.Ctp * PL)
 
 

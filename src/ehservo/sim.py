@@ -17,7 +17,7 @@ import math
 import struct
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .controller import ControllerParams, model_coefficients
@@ -85,9 +85,8 @@ class Scenario:
                 f"omega ({self.omega}) times duration ({self.duration}) must be finite: "
                 "the reference phase overflows"
             )
-        # and so does its jerk amplitude*omega**3, formed in run's order, which
-        # the equivalent control reads
-        if not math.isfinite(self.amplitude * self.omega * self.omega * self.omega):
+        # and so does its jerk, which the equivalent control reads
+        if not math.isfinite(reference_at(0.0, self.amplitude, self.omega)[3]):
             raise ValueError(
                 f"omega ({self.omega}) cubed times amplitude ({self.amplitude}) must be "
                 "finite: the reference jerk overflows"
@@ -200,33 +199,33 @@ def supply_pressure(mode: str, x: float, ps_nominal: float) -> float:
     raise ValueError(f"unknown supply_pressure_mode: {mode!r}")
 
 
-def rk4_step(x: float, v: float, PL: float, u: float, dt: float,
+def rk4_step(x: float, v: float, PL: float, u: float, ps: float, dt: float,
              p: PlantParams) -> tuple[float, float, float]:
-    """One classical Runge-Kutta step of state x, v, PL with the voltage u held.
+    """One classical Runge-Kutta step of state x, v, PL with u and ps held.
 
     Returns the new state as the tuple (x, v, PL). Its four stages call
     plant_derivatives, the written reference of the plant; sim.run's loop
     carries the one inlined copy of them. The load pressure is clamped to
-    [-Ps, Ps] afterwards; beyond that range the orifice model stops being
+    [-ps, ps] afterwards; beyond that range the orifice model stops being
     physical.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be strictly positive, got {dt}")
-    k1x, k1v, k1p = plant_derivatives(x, v, PL, u, p)
+    k1x, k1v, k1p = plant_derivatives(x, v, PL, u, ps, p)
     h = 0.5 * dt
-    k2x, k2v, k2p = plant_derivatives(x + h * k1x, v + h * k1v, PL + h * k1p, u, p)
-    k3x, k3v, k3p = plant_derivatives(x + h * k2x, v + h * k2v, PL + h * k2p, u, p)
-    k4x, k4v, k4p = plant_derivatives(x + dt * k3x, v + dt * k3v, PL + dt * k3p, u, p)
+    k2x, k2v, k2p = plant_derivatives(x + h * k1x, v + h * k1v, PL + h * k1p, u, ps, p)
+    k3x, k3v, k3p = plant_derivatives(x + h * k2x, v + h * k2v, PL + h * k2p, u, ps, p)
+    k4x, k4v, k4p = plant_derivatives(x + dt * k3x, v + dt * k3v, PL + dt * k3p, u, ps, p)
     w = dt / 6.0
     x = x + w * (k1x + 2.0 * (k2x + k3x) + k4x)
     v = v + w * (k1v + 2.0 * (k2v + k3v) + k4v)
     PL = PL + w * (k1p + 2.0 * (k2p + k3p) + k4p)
     if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)):
         raise BlowUpError(f"non-finite state after RK4 step: x={x}, v={v}, PL={PL}")
-    if PL > p.Ps:
-        PL = p.Ps
-    elif PL < -p.Ps:
-        PL = -p.Ps
+    if PL > ps:
+        PL = ps
+    elif PL < -ps:
+        PL = -ps
     return x, v, PL
 
 
@@ -265,10 +264,11 @@ def run(
     stage value reaches the result as a term of a sum, times a positive
     constant or times K, Bp or Ctp >= 0 (and 0*inf is NaN), so a non-finite
     stage always leaves a non-finite result. When the check fails, the
-    substep is replayed through rk4_step, which raises the first failing
-    stage's message or its own post-step one. If it returns instead, the
-    finite parts only overflowed their sum, and the run goes on from its
-    state.
+    substep is replayed through rk4_step with the held u and ps, which raises
+    the first failing stage's message or its own post-step one, as when a
+    varying supply has overflowed and the spool is open. If it returns
+    instead, the finite parts only overflowed their sum, and the run goes on
+    from its state.
     """
     n_steps = scenario.n_steps
     n_sub = scenario.substeps
@@ -419,7 +419,7 @@ def run(
                     # a non-finite stage leaves a non-finite result (see the
                     # docstring): rk4_step names it, or returns when the
                     # finite parts only overflowed their sum
-                    x_n, v_n, P_n = rk4_step(x, v, PL, u, dt_p, replace(plant, Ps=ps))
+                    x_n, v_n, P_n = rk4_step(x, v, PL, u, ps, dt_p, plant)
                 x, v = x_n, v_n
                 PL = ps if P_n > ps else -ps if P_n < -ps else P_n
                 if varying:  # for the next substep, or the next row

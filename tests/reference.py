@@ -7,7 +7,7 @@ the same time.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,9 +87,7 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
         sign_prev = sgn(u)
         try:
             for _ in range(sc.substeps):
-                # a constant supply is plant.Ps itself, with no PlantParams to build
-                p_now = plant if ps == plant.Ps else replace(plant, Ps=ps)
-                x, v, PL = rk4_step(x, v, PL, u, sc.dt_plant, p_now)
+                x, v, PL = rk4_step(x, v, PL, u, ps, sc.dt_plant, plant)
                 ps = supply_pressure(mode, x, plant.Ps)
         except BlowUpError as err:
             raise BlowUpError(

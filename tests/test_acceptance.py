@@ -123,7 +123,7 @@ def test_integrator_order():
         exact = x0.copy()
         worst = 0.0
         for _ in range(round(T / dt)):
-            s = rk4_step(*s, 0.0, dt, p)
+            s = rk4_step(*s, 0.0, p.Ps, dt, p)
             exact = phi @ exact
             worst = max(worst, abs(s[0] - exact[0]))
         errors.append(worst)

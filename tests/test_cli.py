@@ -313,14 +313,20 @@ class TestMain:
         assert lines[0] == CSV_HEADER
         assert len(lines) == 401
 
-    def test_blow_up_exit_code(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "x0 = 1e306\n")
+    @pytest.mark.parametrize("config, flags, kappa_note", [
+        ("x0 = 1e306\n", [], False),  # kappa*b0*dt_control = 1*152.46/400 = 0.38
+        # 1.6e308*(1 + 0.2*sin x) overflows to an infinite held supply, and
+        # the next open-spool stage blows up; kappa*b0*dt_control = 1.82e+150
+        ("ps = 1.6e308\n", ["--scenario", "varying-ps"], True),
+    ], ids=["x0", "varying_ps_overflow"])
+    def test_blow_up_exit_code(self, config, flags, kappa_note, tmp_path, capsys):
+        cfg = _write(tmp_path, config)
         out = tmp_path / "run.csv"
-        code = main(["run", "--config", str(cfg), "--duration", "1", "--out", str(out)])
+        code = main(["run", "--config", str(cfg), *flags, "--duration", "1", "--out", str(out)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "numerical blow-up" in err
-        assert "kappa*b0*dt_control" not in err  # 1*152.46/400 = 0.38
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical blow-up: ")
+        assert ("kappa*b0*dt_control" in err[0]) == kappa_note
         assert not out.exists()
 
     def test_blow_up_past_the_kappa_ceiling_says_so(self, tmp_path, capsys):

@@ -130,7 +130,7 @@ def test_rk4_step_of_a_linear_plant(exponents, h_rho, x, v, PL):
     A = linear_plant_matrix(p)
     dt = h_rho / max(abs(np.linalg.eigvals(A)))
     s0 = np.array([x, v, PL])
-    got = np.array(rk4_step(x, v, PL, 0.0, dt, p))
+    got = np.array(rk4_step(x, v, PL, 0.0, p.Ps, dt, p))
 
     # on a linear system one RK4 step is the degree-4 Taylor polynomial of expm(A dt)
     hA = dt * A
@@ -165,6 +165,9 @@ plants = st.lists(
 )
 # a consequent overflows at t = 0 and blows the run up once its rule fires
 @example(PlantParams(), "constant", False, 100.0, 0.0, 0.0, 0.1, 1e308)
+# the varying supply overflows to inf, held by both loops as a float: the
+# next open-spool stage blows up, and no PlantParams is built with it
+@example(PlantParams(Ps=1.6e308), "varying", False, 0.0, 0.0, 0.0, 0.1, 0.5)
 def test_run_equals_its_layer_functions(plant, mode, frozen, x, v, PL_ratio, omega, phi):
     # run's fused kernel against the reference loop of the public functions
     # it inlines: the same rows bit for bit, or the same BlowUpError message
@@ -188,7 +191,7 @@ def test_plant_jerk_is_the_controller_model(p, x, v, PL_ratio, u):
     # is the jerk of plant_derivatives, away from the EPS_CAV floor (|PL| <= 0.9 Ps);
     # the gap is measured against the largest term, since the terms cancel
     PL = PL_ratio * p.Ps
-    dx, dv, dPL = plant_derivatives(x, v, PL, u, p)
+    dx, dv, dPL = plant_derivatives(x, v, PL, u, p.Ps, p)
     jerk = (p.Ap * dPL - p.Bp * dv - p.K * dx) / p.Mt
     a0, a1, a2 = model_coefficients(p)
     acc = acceleration(x, v, PL, p)

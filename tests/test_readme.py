@@ -1,9 +1,11 @@
 """README.md runs and reads as the code does: its python example and its
 `ehservo run` lines run as written, its config table names exactly the config
-schema's keys and gives their defaults, and every module attribute it names exists.
+schema's keys and gives their defaults, every module attribute it names exists,
+and every call it writes with bare-name arguments has those parameters.
 ehservo's __all__ lists exactly the public names the package binds."""
 
 import importlib
+import inspect
 import re
 import shlex
 import types
@@ -97,6 +99,17 @@ def test_named_module_attributes_exist():
                if not hasattr(importlib.import_module(f"ehservo.{module}"), name)]
     missing += [f"{name}(" for name in calls if not hasattr(ehservo, name)]
     assert not missing, f"README names attributes that do not exist: {missing}"
+
+
+def test_named_call_signatures_match_the_code():
+    # a backticked call whose arguments are all bare names, such as
+    # `rk4_step(x, v, PL, u, ps, dt, p)`, gives the parameters of that
+    # ehservo function in order, so a changed signature cannot stay in the docs
+    calls = re.findall(r"`(\w+)\((\w+(?:, \w+)*)\)`", README.read_text())
+    assert calls
+    wrong = [f"{name}({args})" for name, args in calls
+             if args.split(", ") != list(inspect.signature(getattr(ehservo, name)).parameters)]
+    assert not wrong, f"README gives signatures the code does not have: {wrong}"
 
 
 def test_exported_names_are_all():

@@ -128,37 +128,49 @@ class TestSupplyPressure:
 class TestRK4Step:
     def test_equilibrium_fixed_point(self):
         p = PlantParams()
-        assert rk4_step(0.0, 0.0, 0.0, 0.0, 1 / 800, p) == (0.0, 0.0, 0.0)
+        assert rk4_step(0.0, 0.0, 0.0, 0.0, p.Ps, 1 / 800, p) == (0.0, 0.0, 0.0)
 
     def test_one_step_matches_two_half_steps(self):
         p = PlantParams()
         s = (0.01, 0.0, 0.0)
         for u in (0.0, 2.0):
-            one = rk4_step(*s, u, 1 / 800, p)
-            two = rk4_step(*rk4_step(*s, u, 1 / 1600, p), u, 1 / 1600, p)
+            one = rk4_step(*s, u, p.Ps, 1 / 800, p)
+            two = rk4_step(*rk4_step(*s, u, p.Ps, 1 / 1600, p), u, p.Ps, 1 / 1600, p)
             assert abs(one[0] - two[0]) < 1e-10
             assert abs(one[1] - two[1]) < 1e-7
             assert abs(one[2] - two[2]) < 1.0
 
     def test_pressure_clamped_to_supply(self):
         p = PlantParams()
-        _, _, PL = rk4_step(0.0, 0.0, 0.999 * p.Ps, 8.0, 1 / 800, p)
+        _, _, PL = rk4_step(0.0, 0.0, 0.999 * p.Ps, 8.0, p.Ps, 1 / 800, p)
         assert abs(PL) <= p.Ps
+        # the clamp is the held supply ps, not the nominal p.Ps
+        _, _, PL = rk4_step(0.0, 0.0, p.Ps, 8.0, 0.5 * p.Ps, 1 / 800, p)
+        assert PL == 0.5 * p.Ps
+        # and the right-hand side reads the supply only through ps: the
+        # nominal value changes no bit, with the orifice open, at the EPS_CAV
+        # floor or at the clamp
+        for PL0, u in ((0.3 * p.Ps, 2.0), (-0.3 * p.Ps, -3.0), (p.Ps, 8.0)):
+            for ps in (0.5 * p.Ps, 0.9 * p.Ps, p.Ps, 1.1 * p.Ps):
+                assert (rk4_step(0.01, 0.02, PL0, u, ps, 1 / 800, p)
+                        == rk4_step(0.01, 0.02, PL0, u, ps, 1 / 800, replace(p, Ps=2 * p.Ps)))
 
     def test_blow_up_raises(self):
         p = PlantParams()
         with pytest.raises(BlowUpError):
-            rk4_step(math.nan, 0.0, 0.0, 0.0, 1 / 800, p)
+            rk4_step(math.nan, 0.0, 0.0, 0.0, p.Ps, 1 / 800, p)
 
     def test_nan_voltage_blows_up(self):
         # a NaN voltage is no closed valve: it reaches the state and is reported
+        p = PlantParams()
         with pytest.raises(BlowUpError):
-            rk4_step(0.0, 0.0, 0.0, math.nan, 1 / 800, PlantParams())
+            rk4_step(0.0, 0.0, 0.0, math.nan, p.Ps, 1 / 800, p)
 
     @pytest.mark.parametrize("dt", [0.0, -1 / 800, math.nan])
     def test_rejects_non_positive_step(self, dt):
+        p = PlantParams()
         with pytest.raises(ValueError, match="^dt must be strictly positive"):
-            rk4_step(0.0, 0.0, 0.0, 0.0, dt, PlantParams())
+            rk4_step(0.0, 0.0, 0.0, 0.0, p.Ps, dt, p)
 
 
 class TestRunMechanics:
@@ -223,8 +235,8 @@ class TestRunMechanics:
         sc = Scenario(duration=1.0, **start)
         voltages = []  # the held voltage, once per stage called
         with monkeypatch.context() as m:
-            m.setattr(sim, "plant_derivatives", lambda x, v, PL, u, p:
-                      voltages.append(u) or plant_derivatives(x, v, PL, u, p))
+            m.setattr(sim, "plant_derivatives", lambda x, v, PL, u, ps, p:
+                      voltages.append(u) or plant_derivatives(x, v, PL, u, ps, p))
             with pytest.raises(BlowUpError) as ref_err:
                 reference_run(sc, plant, cp, FuzzyEstimator())
         assert (dead_zone_output(voltages[0], plant) == 0.0) == (plant is SHUT_SPOOL)
