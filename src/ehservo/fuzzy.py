@@ -7,7 +7,7 @@ firing strengths sum to one everywhere and at most two of them are nonzero.
 
 The consequent tuple theta is the estimator's whole state: FuzzyEstimator
 validates the grid and the initial consequents once, and infer and adapt read
-and return theta, as sim.run's loop carries it.
+and return theta; sim.run's loop moves the consequents of the rules it infers from.
 """
 
 from __future__ import annotations
@@ -93,12 +93,12 @@ def adapt(
     """One forward-Euler step of the consequent update, rate phi, period dt.
 
     Returns the new consequent tuple; rules that did not fire keep their
-    consequent bit-for-bit.
+    consequent bit-for-bit, and a zero step keeps every value (a zero may flip sign).
     """
     if not phi > 0.0:
         raise ValueError(f"adaptation rate phi must be strictly positive, got {phi}")
     if not dt > 0.0:
         raise ValueError(f"update period dt must be strictly positive, got {dt}")
     step = phi * e * dt
-    return tuple(d if w == 0.0 or step == 0.0 else d - step * w
+    return tuple(d if w == 0.0 else d - step * w
                  for d, w in zip(theta, psi, strict=True))

@@ -242,8 +242,10 @@ def run(
     reference, compute the input gain with the previous sample's voltage sign,
     form the equivalent control, infer the dead-zone compensation, apply the
     control law, adapt the estimator, then hold the voltage over the RK4
-    substeps. Raises BlowUpError (carrying the offending time) if the state
-    leaves the finite range.
+    substeps. Raises BlowUpError, carrying the offending time, when a value
+    leaves the finite range. Each value has one catcher: the equivalent control
+    its own check, before the membership grid; the voltage the spool (below);
+    a varying supply the start bound, which refuses an overflowing peak Ps*1.2.
 
     The loop runs over plain floats, the plant state as the x, v, PL that
     plant_derivatives and rk4_step take. It inlines reference_at,
@@ -265,10 +267,11 @@ def run(
     constant or times K, Bp or Ctp >= 0 (and 0*inf is NaN), so a non-finite
     stage always leaves a non-finite result. When the check fails, the
     substep is replayed through rk4_step with the held u and ps, which raises
-    the first failing stage's message or its own post-step one, as when a
-    varying supply has overflowed and the spool is open. If it returns
-    instead, the finite parts only overflowed their sum, and the run goes on
-    from its state.
+    the first failing stage's message or its own post-step one. A non-finite
+    voltage is caught here: it leaves the spool, its flow and the pressure
+    stages non-finite, and the replay's first stage names the spool and u.
+    If the replay returns instead, the finite parts only overflowed their
+    sum, and the run goes on from its state.
     """
     n_steps = scenario.n_steps
     n_sub = scenario.substeps
@@ -303,6 +306,9 @@ def run(
     w = dt_p / 6.0
     sqrt, sin, cos, isfinite, eps_cav = math.sqrt, math.sin, math.cos, math.isfinite, EPS_CAV
     substeps = range(n_sub)
+    # 1 + 0.2*sin(x) <= 1.2 in floats: a finite peak bounds every varying supply
+    if varying and not isfinite(Ps0 * 1.2):
+        raise BlowUpError(f"non-finite varying supply peak: ps*1.2 at ps={Ps0!r}", time=0.0)
 
     # unboxed float64 rows: each value is stored as 8 bytes and its float
     # object freed, and SimResult's arrays read this buffer without a copy
@@ -340,36 +346,28 @@ def run(
         ) / b
         if not isfinite(u_hat):
             raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
-        # infer's sum starts at 0.0, and only the firing rules add to it
+        # infer's sum starts at 0.0, and only the firing rules add to it;
+        # adapt then moves the consequents of the same rules
         if frozen:
             d_hat = 0.0
         elif u_hat <= c_first or u_hat >= c_last:
             # a shoulder rule fires alone
             i = 0 if u_hat <= c_first else n_rules - 1
-            pair = False
             d_hat = 0.0 + theta[i]
+            theta[i] = theta[i] - phi * e * dt_c
         else:
             # rules i and i + 1 fire
             i = bisect_right(centers, u_hat) - 1
             frac = (u_hat - centers[i]) / (centers[i + 1] - centers[i])
             psi_i = 1.0 - frac
-            pair = True
             d_hat = 0.0 + theta[i] * psi_i + theta[i + 1] * frac
+            step = phi * e * dt_c
+            theta[i] = theta[i] - step * psi_i
+            theta[i + 1] = theta[i + 1] - step * frac
         u = u_hat + d_hat - kappa * e
-        if not isfinite(u):
-            raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
         d = delta_l if u <= delta_l else delta_r if u >= delta_r else u
 
         pack_row(buf, k * row_size, t, x, xd, xerr, v, PL, u, u_hat, d, d_hat, e, ps)
-
-        if not frozen:
-            step = phi * e * dt_c
-            if step != 0.0:
-                if pair:
-                    theta[i] = theta[i] - step * psi_i
-                    theta[i + 1] = theta[i + 1] - step * frac
-                else:
-                    theta[i] = theta[i] - step
         sign_prev = 1.0 if u > 0.0 else -1.0 if u < 0.0 else 0.0
 
         x_sp = kv * (u - d)  # the dead-zone decomposition: dead_zone_output(u)
@@ -439,10 +437,11 @@ def run(
 
 
 def _rms(rows: np.ndarray) -> np.ndarray:
-    """Root mean square of each row of a 2-D array of at least one column.
+    """Root mean square of each row of a 2-D array of finite values, at least
+    one column: every e and xerr of a completed run is finite.
 
     A row whose squares or their sum overflow is first divided by its largest
-    magnitude, so a large but finite row keeps a finite RMS. A row sums as its 1-D slice does.
+    magnitude, so it keeps a finite RMS. A row sums as its 1-D slice does.
     """
     import numpy as np
 
@@ -450,8 +449,7 @@ def _rms(rows: np.ndarray) -> np.ndarray:
         rms = np.sqrt(np.add.reduce(rows * rows, axis=1) / rows.shape[1])
     for i in np.flatnonzero(rms == math.inf):
         scale = np.max(np.abs(rows[i]))
-        if scale < math.inf:
-            rms[i] = scale * _rms(rows[i:i + 1] / scale)[0]
+        rms[i] = scale * _rms(rows[i:i + 1] / scale)[0]
     return rms
 
 

@@ -59,6 +59,8 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
     rows, thetas, gains = [], [], []
     theta = est.d_hat
     x, v, PL = sc.x0, sc.v0, sc.pl0
+    if mode == "varying" and not math.isfinite(plant.Ps * 1.2):
+        raise BlowUpError(f"non-finite varying supply peak: ps*1.2 at ps={plant.Ps!r}", time=0.0)
     ps = supply_pressure(mode, x, plant.Ps)
     sign_prev = 0.0
     for k in range(sc.n_steps):
@@ -71,19 +73,16 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
         u_hat = equivalent_control(x, v, x_ddot, xerr_dot, xerr_ddot, xd_dddot, a, b, cp)
         if not math.isfinite(u_hat):
             raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
+        thetas.append(theta)
+        gains.append(b)
         d_hat = 0.0
         if adaptive:
             psi = membership(u_hat, est.centers)
             d_hat = infer(theta, psi)
+            theta = adapt(theta, e, psi, cp.phi, sc.dt_control)
         u = control_law(u_hat, d_hat, e, cp)
-        if not math.isfinite(u):
-            raise BlowUpError(f"non-finite control voltage at t={t:.6g} s", time=t)
         rows.append((t, x, xd, xerr, v, PL, u, u_hat, dead_zone_d(u, plant),
                      d_hat, e, ps))
-        thetas.append(theta)
-        gains.append(b)
-        if adaptive:
-            theta = adapt(theta, e, psi, cp.phi, sc.dt_control)
         sign_prev = sgn(u)
         try:
             for _ in range(sc.substeps):

@@ -315,8 +315,8 @@ class TestMain:
 
     @pytest.mark.parametrize("config, flags, kappa_note", [
         ("x0 = 1e306\n", [], False),  # kappa*b0*dt_control = 1*152.46/400 = 0.38
-        # 1.6e308*(1 + 0.2*sin x) overflows to an infinite held supply, and
-        # the next open-spool stage blows up; kappa*b0*dt_control = 1.82e+150
+        # the varying supply's peak 1.2*1.6e308 overflows: refused at t = 0,
+        # before any step; kappa*b0*dt_control = 1.82e+150
         ("ps = 1.6e308\n", ["--scenario", "varying-ps"], True),
     ], ids=["x0", "varying_ps_overflow"])
     def test_blow_up_exit_code(self, config, flags, kappa_note, tmp_path, capsys):

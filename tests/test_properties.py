@@ -1,7 +1,7 @@
 """Property tests over random inputs: the fuzzy basis, the consequent update,
 the dead-zone decomposition, one RK4 step of a linear plant, the closed loop
-against its public layer functions, the plant's jerk against the controller's
-model and the config round trip.
+against its public layer functions, the finiteness of a completed run, the
+plant's jerk against the controller's model and the config round trip.
 
 Every test is derandomized with a bounded number of examples, so the suite
 stays deterministic and quick.
@@ -9,6 +9,8 @@ stays deterministic and quick.
 
 import math
 import struct
+import sys
+from dataclasses import astuple
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, matrix_balance
 
 from ehservo import (
+    BlowUpError,
     ControllerParams,
     FuzzyEstimator,
     PlantParams,
@@ -29,10 +32,11 @@ from ehservo import (
     model_coefficients,
     plant_derivatives,
     rk4_step,
+    run,
     sgn,
 )
 from ehservo.cli import config_dump, parse_kv, resolve_config
-from ehservo.sim import SUPPLY_MODES
+from ehservo.sim import SERIES, SUPPLY_MODES
 from reference import assert_run_replays
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -165,8 +169,7 @@ plants = st.lists(
 )
 # a consequent overflows at t = 0 and blows the run up once its rule fires
 @example(PlantParams(), "constant", False, 100.0, 0.0, 0.0, 0.1, 1e308)
-# the varying supply overflows to inf, held by both loops as a float: the
-# next open-spool stage blows up, and no PlantParams is built with it
+# the varying supply's peak 1.2*Ps overflows: both loops refuse it at t = 0
 @example(PlantParams(Ps=1.6e308), "varying", False, 0.0, 0.0, 0.0, 0.1, 0.5)
 def test_run_equals_its_layer_functions(plant, mode, frozen, x, v, PL_ratio, omega, phi):
     # run's fused kernel against the reference loop of the public functions
@@ -181,6 +184,30 @@ def test_run_equals_its_layer_functions(plant, mode, frozen, x, v, PL_ratio, ome
         x0=x, v0=v, pl0=PL_ratio * plant.Ps,
     )
     assert_run_replays(sc, plant, cp, FuzzyEstimator())
+
+
+# dead-zone edge magnitudes, from the smallest float up to 1e300 V
+edges = st.floats(0.0, 1e300, exclude_min=True)
+
+
+@PROPERTY
+@given(
+    st.floats(1.0, 1e308) | st.floats(1e308, sys.float_info.max),
+    edges, edges, st.floats(-2.0, 2.0), st.sampled_from(SUPPLY_MODES), st.booleans(),
+)
+# 1.6e308*(1 + 0.2*sin 1) overflows the starting supply, which a shut spool never reads
+@example(1.6e308, 1e300, 1e300, 1.0, "varying", False)
+def test_completed_run_is_finite(ps, left, right, x0, mode, frozen):
+    # a run blows up, or completes with every series and metric finite
+    plant = PlantParams(Ps=ps, delta_l=-left, delta_r=right)
+    sc = Scenario(duration=0.05, supply_pressure_mode=mode, freeze_adaptation=frozen, x0=x0)
+    try:
+        res = run(sc, plant, ControllerParams(model=plant), FuzzyEstimator())
+    except BlowUpError:
+        return
+    for name in SERIES:
+        assert np.all(np.isfinite(getattr(res, name))), name
+    assert all(map(math.isfinite, astuple(res.metrics))), res.metrics
 
 
 @PROPERTY

@@ -204,16 +204,23 @@ class TestRunMechanics:
         assert message.startswith("non-finite plant state: ")
         assert message.endswith(" (control period starting at t=0.005 s)")
 
-    def test_non_finite_equivalent_control_raises_before_any_voltage(self):
+    @pytest.mark.parametrize("start, phi, message, time", [
         # a finite start whose velocity overflows the model's a1*v: both loops
         # refuse the first equivalent control, before any voltage is formed
-        sc = Scenario(duration=1.0, v0=1e305)
+        ({"v0": 1e305}, 0.5, "non-finite equivalent control at t=0 s", 0.0),
+        # the first step's update overflows a consequent, and the voltage of
+        # the next step that fires its rule is caught at the spool
+        ({"x0": 100.0}, 1e308, "non-finite spool displacement: x_sp=-inf at u=-inf "
+         "(control period starting at t=0.005 s)", 0.005),
+    ], ids=["equivalent_control", "voltage"])
+    def test_non_finite_control_value_has_one_catcher(self, start, phi, message, time):
+        sc = Scenario(duration=0.1, **start)
         plant = PlantParams()
-        cp = ControllerParams(model=plant)
+        cp = ControllerParams(phi=phi, model=plant)
         assert assert_run_replays(sc, plant, cp, FuzzyEstimator()) is None
         with pytest.raises(BlowUpError) as err:
             run(sc, plant, cp, FuzzyEstimator())
-        assert (str(err.value), err.value.time) == ("non-finite equivalent control at t=0 s", 0.0)
+        assert (str(err.value), err.value.time) == (message, time)
 
     # states found by searching with rk4_step: the first non-finite value of
     # the first substep appears in the input of RK4 stage 2, 3 or 4, or only
