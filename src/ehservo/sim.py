@@ -136,8 +136,7 @@ class MonitorReport:
 
     window_rms: tuple[float, ...]   # one per scored window
     rms_violations: int             # type (i): windowed RMS of e grew
-    final_window_mean_abs_e: float
-    final_mean_ok: bool             # type (ii)
+    final_window_mean_abs_e: float  # type (ii)
     sign_violations: int            # type (iii): d_hat sign against the active edge
 
 
@@ -245,7 +244,8 @@ def run(
     substeps. Raises BlowUpError, carrying the offending time, when a value
     leaves the finite range. Each value has one catcher: the equivalent control
     its own check, before the membership grid; the voltage the spool (below);
-    a varying supply the start bound, which refuses an overflowing peak Ps*1.2.
+    a varying supply the start bound, which refuses an overflowing peak Ps*1.2
+    before the first period, with no time.
 
     The loop runs over plain floats, the plant state as the x, v, PL that
     plant_derivatives and rk4_step take. It inlines reference_at,
@@ -308,7 +308,7 @@ def run(
     substeps = range(n_sub)
     # 1 + 0.2*sin(x) <= 1.2 in floats: a finite peak bounds every varying supply
     if varying and not isfinite(Ps0 * 1.2):
-        raise BlowUpError(f"non-finite varying supply peak: ps*1.2 at ps={Ps0!r}", time=0.0)
+        raise BlowUpError(f"non-finite varying supply peak: ps*1.2 at ps={Ps0!r}")
 
     # unboxed float64 rows: each value is stored as 8 bytes and its float
     # object freed, and SimResult's arrays read this buffer without a copy
@@ -486,7 +486,6 @@ def _compute_metrics(
         final = slice(final_start, final_start + w_n)
     else:
         final = slice(q, n)
-    final_mean = float(np.mean(np.abs(e[final])))
 
     # a grid side with no center has its innermost one at infinity: no sample counts
     pos_inner = min((c for c in centers if c > 0.0), default=math.inf)
@@ -507,7 +506,6 @@ def _compute_metrics(
     return metrics, MonitorReport(
         window_rms=tuple(window_rms),
         rms_violations=rms_violations,
-        final_window_mean_abs_e=final_mean,
-        final_mean_ok=final_mean <= MONITOR_E_THRESHOLD,
+        final_window_mean_abs_e=float(np.mean(np.abs(e[final]))),
         sign_violations=sign_violations,
     )

@@ -60,7 +60,7 @@ def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
     theta = est.d_hat
     x, v, PL = sc.x0, sc.v0, sc.pl0
     if mode == "varying" and not math.isfinite(plant.Ps * 1.2):
-        raise BlowUpError(f"non-finite varying supply peak: ps*1.2 at ps={plant.Ps!r}", time=0.0)
+        raise BlowUpError(f"non-finite varying supply peak: ps*1.2 at ps={plant.Ps!r}")
     ps = supply_pressure(mode, x, plant.Ps)
     sign_prev = 0.0
     for k in range(sc.n_steps):

@@ -56,18 +56,23 @@ class TestConfigResolution:
             resolve_config({"lambda": value})
 
     def test_unknown_key_named(self):
-        # the controller's model is the plant: no key sets a copy of it
+        # the controller's model is the plant: no key sets a copy of it.
+        # Each is refused by name, by the parser and by the resolver, never dropped
         for key in ("pressure_gain", *("model_" + key for key in _PLANT_SAMPLES)):
             with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'"):
-                resolve_config(parse_kv(f"{key} = -1\n"))
+                parse_kv(f"{key} = -1\n")
+            with pytest.raises(ConfigError, match=f"^unknown key '{key}'"):
+                resolve_config({key: "nan"})
 
     def test_removed_knobs_are_unknown_keys(self):
         # lambda alone sets the error polynomial, the monitor's bounds and
         # transient are fixed, and the CSV path is the --out flag alone
         for key in ("c0", "c1", "monitor_tol", "monitor_e_threshold",
                     "transient_fraction", "out"):
-            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
-                resolve_config(parse_kv(f"{key} = 8\n"))
+            with pytest.raises(ConfigError, match=f"^line 1: unknown key '{key}'"):
+                parse_kv(f"{key} = 8\n")
+            with pytest.raises(ConfigError, match=f"^unknown key '{key}'"):
+                resolve_config({key: "nan"})
 
     def test_unparseable_value_named(self):
         for key, value, kind in (("kappa", "fast", "a number"),
@@ -120,9 +125,6 @@ _PLANT_SAMPLES = {
     "delta_l": "-1.0", "delta_r": "0.8", "kv": "2.2e-6",
 }
 
-# Keys that once set the controller's model apart from the plant
-_FORMER_MODEL_KEYS = ["model_" + key for key in _PLANT_SAMPLES if key not in ("delta_l", "delta_r")]
-
 # One valid, non-default value per config key
 NON_DEFAULT = {
     **_PLANT_SAMPLES,
@@ -167,18 +169,11 @@ class TestSchema:
         assert resolve_config(parse_kv(dumped)) == cfg
 
     @pytest.mark.parametrize("key", sorted(
-        [key for key, (_, _, kind) in _SCHEMA.items() if kind in (_NUMBER, _NUMBERS)]
-        + _FORMER_MODEL_KEYS
-    ))
+        key for key, (_, _, kind) in _SCHEMA.items() if kind in (_NUMBER, _NUMBERS)))
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_number_named(self, key, value):
-        # a former model_* key is refused by name as unknown, never dropped;
         # centers get a second entry, so that finiteness, not length, refuses them
-        if key in _FORMER_MODEL_KEYS:
-            message = f"^unknown key '{key}'"
-        else:
-            message = rf"^{key} must (all )?be finite\b"
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=rf"^{key} must (all )?be finite\b"):
             resolve_config({key: f"0, {value}" if key == "centers" else value})
 
     def test_every_field_reachable_from_a_key(self):
@@ -225,7 +220,7 @@ def _empty_result():
     return SimResult(
         t=z, x=z, xd=z, xerr=z, v=z, PL=z, u=z, uhat=z, d=z, dhat=z, e=z, Ps=z,
         metrics=SimMetrics(0, 0, 0, 0, 0),
-        monitor=MonitorReport((), 0, 0.0, True, 0),
+        monitor=MonitorReport((), 0, 0.0, 0),
     )
 
 
@@ -315,9 +310,10 @@ class TestMain:
 
     @pytest.mark.parametrize("config, flags, kappa_note", [
         ("x0 = 1e306\n", [], False),  # kappa*b0*dt_control = 1*152.46/400 = 0.38
-        # the varying supply's peak 1.2*1.6e308 overflows: refused at t = 0,
-        # before any step; kappa*b0*dt_control = 1.82e+150
-        ("ps = 1.6e308\n", ["--scenario", "varying-ps"], True),
+        # the varying supply's peak 1.2*1.6e308 overflows: refused before the
+        # first control period, so no held voltage is blamed, though
+        # kappa*b0*dt_control = 1.82e+150
+        ("ps = 1.6e308\n", ["--scenario", "varying-ps"], False),
     ], ids=["x0", "varying_ps_overflow"])
     def test_blow_up_exit_code(self, config, flags, kappa_note, tmp_path, capsys):
         cfg = _write(tmp_path, config)

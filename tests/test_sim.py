@@ -4,6 +4,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ehservo import (
     supply_pressure,
 )
 from ehservo import sim
+from ehservo.cli import summarize
 from ehservo.sim import SERIES, SUPPLY_MODES
 from lyapunov import lyapunov_series
 from reference import (
@@ -454,12 +456,12 @@ class TestStabilityMonitor:
         assert metrics.mean_dz_err_first_quarter == pytest.approx(1.0, rel=1e-12)
         assert metrics.mean_dz_err_final_quarter == pytest.approx(0.25, rel=1e-12)
 
-    def test_threshold_comparison(self):
-        # the final-window mean |e| bound is 0.1
-        rep = _score(np.full(48000, 0.2))[1]
-        assert not rep.final_mean_ok
-        rep = _score(np.full(48000, 0.05))[1]
-        assert rep.final_mean_ok
+    def test_threshold_comparison(self, capsys):
+        # the summary compares the final-window mean |e| with its bound, 0.1
+        for mean, verdict in ((0.2, "EXCEEDED"), (0.05, "ok")):
+            metrics, rep = _score(np.full(48000, mean))
+            summarize(SimpleNamespace(metrics=metrics, monitor=rep), elapsed=0.0)
+            assert f": {mean:.6g} (threshold 0.1, {verdict})" in capsys.readouterr().out
 
     def test_sign_check_on_one_sided_grids(self):
         # a grid with no center on one side counts nothing on that side, and
