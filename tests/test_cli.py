@@ -162,14 +162,14 @@ class TestSchema:
         assert f"{key} = " in dumped
         assert resolve_config(parse_kv(dumped)) == cfg
 
-    # The plant, controller and monitor keys all meet check_fields' one math.isfinite test,
-    # so one value each, cycling over them, checks that the refusal names the key. The
-    # scenario keys keep all three values, as do centers and d_hat_init, which FuzzyEstimator
-    # checks itself; centers get a second entry, so that finiteness, not length, refuses them.
+    # The plant keys all meet PlantParams' one check_fields call, so one value each, cycling
+    # over them, checks that the refusal names the key. The other number keys keep all three
+    # values, centers and d_hat_init through FuzzyEstimator's own checks; centers get a
+    # second entry, so that finiteness, not length, refuses them.
     @pytest.mark.parametrize("value, key", [*zip(cycle(["inf", "-inf", "nan"]), sorted(
-        key for key, (part, _, _) in _SCHEMA.items() if part in ("plant", "controller", "monitor"))),
+        key for key, (part, _, _) in _SCHEMA.items() if part == "plant")),
         *product(["inf", "-inf", "nan"], sorted(key for key, (part, _, kind) in _SCHEMA.items()
-                 if part in ("scenario", "estimator") and kind in (_NUMBER, _NUMBERS)))])
+                 if part != "plant" and kind in (_NUMBER, _NUMBERS)))])
     def test_non_finite_number_named(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must (all )?be finite\b"):
             resolve_config({key: f"0, {value}" if key == "centers" else value})
