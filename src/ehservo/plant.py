@@ -142,8 +142,10 @@ def plant_derivatives(x: float, v: float, PL: float, u: float, ps: float,
     The plant's one written right-hand side: the spool displacement through
     the dead zone, its flow through load_flow against ps, the force balance of
     acceleration and the continuity equation of the chamber pressure. The RK4
-    stages of sim.run are its only copy, which the tests replay against it.
-    Raises BlowUpError on a non-finite state or spool displacement.
+    stages of sim.run are its only copy, which the tests hold to
+    sim.composed_run, the loop that calls it through rk4_step and the path
+    run takes on any non-finite value. Raises BlowUpError on a non-finite
+    state or spool displacement.
     """
     if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)):
         raise BlowUpError(f"non-finite plant state: x={x}, v={v}, PL={PL}")

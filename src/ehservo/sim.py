@@ -20,9 +20,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .controller import ControllerParams, model_coefficients
-from .fuzzy import FuzzyEstimator
-from .plant import EPS_CAV, BlowUpError, PlantParams, check_fields, plant_derivatives
+from .controller import (ControllerParams, combined_error, control_law, equivalent_control,
+                         input_gain_b, model_coefficients)
+from .fuzzy import FuzzyEstimator, adapt, infer, membership
+from .plant import (EPS_CAV, BlowUpError, PlantParams, acceleration, check_fields, dead_zone_d,
+                    plant_derivatives, sgn)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -203,10 +205,11 @@ def rk4_step(x: float, v: float, PL: float, u: float, ps: float, dt: float,
     """One classical Runge-Kutta step of state x, v, PL with u and ps held.
 
     Returns the new state as the tuple (x, v, PL). Its four stages call
-    plant_derivatives, the written reference of the plant; sim.run's loop
-    carries the one inlined copy of them. The load pressure is clamped to
-    [-ps, ps] afterwards; beyond that range the orifice model stops being
-    physical.
+    plant_derivatives, the written reference of the plant. composed_run takes
+    one rk4_step a substep; run's loop carries the one inlined copy of it and
+    hands over to composed_run on any non-finite value. The load pressure is
+    clamped to [-ps, ps] afterwards; beyond that range the orifice model
+    stops being physical.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be strictly positive, got {dt}")
@@ -242,36 +245,25 @@ def run(
     form the equivalent control, infer the dead-zone compensation, apply the
     control law, adapt the estimator, then hold the voltage over the RK4
     substeps. Raises BlowUpError, carrying the offending time, when a value
-    leaves the finite range. Each value has one catcher: the equivalent control
-    its own check, before the membership grid; the voltage the spool (below);
-    a varying supply the start bound, which refuses an overflowing peak Ps*1.2
-    before the first period, with no time.
+    leaves the finite range.
 
     The loop runs over plain floats, the plant state as the x, v, PL that
-    plant_derivatives and rk4_step take. It inlines reference_at,
-    combined_error, input_gain_b, equivalent_control, membership, infer,
-    control_law, adapt, dead_zone_d, sgn, acceleration, rk4_step and the
-    four plant_derivatives stages of each substep in their exact operation
-    order: it is the one copy of those written references, and every series
-    equals the one they give, bit for bit. It calls supply_pressure once, for
-    the starting supply, and inlines only its varying law after each substep.
-    The tests compose the same loop from the public functions and require run
-    to equal it.
+    plant_derivatives and rk4_step take. It inlines the layer functions that
+    composed_run calls, the four plant_derivatives stages of each substep
+    included, in their exact operation order: every series equals
+    composed_run's, bit for bit. It calls supply_pressure once, for the
+    starting supply, and inlines only its varying law after each substep.
 
     Each step writes its row of the twelve series once, in SERIES order; a
     frozen run's dhat is +0.0.
 
-    Each substep checks finiteness once, on x + v + PL after the RK4 combine,
-    where rk4_step checks every stage. The one check misses no stage: every
-    stage value reaches the result as a term of a sum, times a positive
-    constant or times K, Bp or Ctp >= 0 (and 0*inf is NaN), so a non-finite
-    stage always leaves a non-finite result. When the check fails, the
-    substep is replayed through rk4_step with the held u and ps, which raises
-    the first failing stage's message or its own post-step one. A non-finite
-    voltage is caught here: it leaves the spool, its flow and the pressure
-    stages non-finite, and the replay's first stage names the spool and u.
-    If the replay returns instead, the finite parts only overflowed their
-    sum, and the run goes on from its state.
+    Every non-finite value has one catcher, composed_run: the loop hands the
+    run over to it, from t = 0, at a varying supply whose peak Ps*1.2
+    overflows, at a non-finite equivalent control, and at a non-finite
+    x + v + PL after a substep's RK4 combine. composed_run's layer functions
+    then raise their own message, or complete the run where only that sum
+    overflowed. The one sum check misses no stage, because a non-finite stage
+    always leaves a non-finite sum.
     """
     n_steps = scenario.n_steps
     n_sub = scenario.substeps
@@ -308,7 +300,7 @@ def run(
     substeps = range(n_sub)
     # 1 + 0.2*sin(x) <= 1.2 in floats: a finite peak bounds every varying supply
     if varying and not isfinite(Ps0 * 1.2):
-        raise BlowUpError(f"non-finite varying supply peak: ps*1.2 at ps={Ps0!r}")
+        return composed_run(scenario, plant, cp, est, monitor)
 
     # unboxed float64 rows: each value is stored as 8 bytes and its float
     # object freed, and SimResult's arrays read this buffer without a copy
@@ -345,7 +337,7 @@ def run(
             - c1 * xerr_ddot - c0 * xerr_dot
         ) / b
         if not isfinite(u_hat):
-            raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
+            return composed_run(scenario, plant, cp, est, monitor)
         # infer's sum starts at 0.0, and only the firing rules add to it;
         # adapt then moves the consequents of the same rules
         if frozen:
@@ -374,65 +366,116 @@ def run(
         # the spool is held over the period: its flow branch and load_flow's
         # first flow product cdw*x_sp are formed once. A shut spool gives
         # cq = 0 and so q = 0, load_flow's QL, with no branch of its own; on
-        # an infinite radicand q is NaN, and the substep check replays it.
+        # an infinite radicand q is NaN, and the substep check hands it over.
         opening = x_sp > 0.0
         cq = cdw * x_sp
+        for _ in substeps:
+            # stage 1 at (x, v, PL): finite after the last step's check
+            # (or Scenario's), with the force balance a as its dv/dt
+            drop = ps - PL if opening else ps + PL
+            if drop < eps_cav:
+                drop = eps_cav
+            q = cq * sqrt(drop / rho)
+            dp1 = g * (q - Ap * v - Ctp * PL)
+            # stage 2
+            x2, v2, P2 = x + h * v, v + h * a, PL + h * dp1
+            dv2 = (Ap * P2 - Bp * v2 - K * x2) / Mt
+            drop = ps - P2 if opening else ps + P2
+            if drop < eps_cav:
+                drop = eps_cav
+            q = cq * sqrt(drop / rho)
+            dp2 = g * (q - Ap * v2 - Ctp * P2)
+            # stage 3
+            x3, v3, P3 = x + h * v2, v + h * dv2, PL + h * dp2
+            dv3 = (Ap * P3 - Bp * v3 - K * x3) / Mt
+            drop = ps - P3 if opening else ps + P3
+            if drop < eps_cav:
+                drop = eps_cav
+            q = cq * sqrt(drop / rho)
+            dp3 = g * (q - Ap * v3 - Ctp * P3)
+            # stage 4
+            x4, v4, P4 = x + dt_p * v3, v + dt_p * dv3, PL + dt_p * dp3
+            dv4 = (Ap * P4 - Bp * v4 - K * x4) / Mt
+            drop = ps - P4 if opening else ps + P4
+            if drop < eps_cav:
+                drop = eps_cav
+            q = cq * sqrt(drop / rho)
+            dp4 = g * (q - Ap * v4 - Ctp * P4)
+            x_n = x + w * (v + 2.0 * (v2 + v3) + v4)
+            v_n = v + w * (a + 2.0 * (dv2 + dv3) + dv4)
+            P_n = PL + w * (dp1 + 2.0 * (dp2 + dp3) + dp4)
+            if not isfinite(x_n + v_n + P_n):
+                return composed_run(scenario, plant, cp, est, monitor)
+            x, v = x_n, v_n
+            PL = ps if P_n > ps else -ps if P_n < -ps else P_n
+            if varying:  # for the next substep, or the next row
+                ps = Ps0 * (1.0 + 0.2 * sin(x))
+            a = (Ap * PL - Bp * v - K * x) / Mt
+
+    return _scored(buf, n_steps, dt_c, centers, monitor)
+
+
+def composed_run(scenario: Scenario, plant: PlantParams, cp: ControllerParams,
+                 est: FuzzyEstimator, monitor: MonitorParams = MonitorParams()) -> SimResult:
+    """run(scenario, plant, cp, est, monitor), one layer function call per
+    layer and step: the written reference of run's loop, and the path run
+    takes on any non-finite value, at about four times run's cost a step.
+
+    The layer functions raise BlowUpError where a value leaves the finite
+    range, and a failed substep carries its control period's start time.
+    """
+    sc = scenario
+    a = model_coefficients(cp.model)
+    mode = sc.supply_pressure_mode
+    n_steps, dt_c = sc.n_steps, sc.dt_control
+    buf = bytearray(_ROW.size * n_steps)
+    theta = est.d_hat
+    x, v, PL = sc.x0, sc.v0, sc.pl0
+    # 1 + 0.2*sin(x) <= 1.2 in floats: a finite peak bounds every varying supply
+    if mode == "varying" and not math.isfinite(plant.Ps * 1.2):
+        raise BlowUpError(f"non-finite varying supply peak: ps*1.2 at ps={plant.Ps!r}")
+    ps = supply_pressure(mode, x, plant.Ps)
+    sign_prev = 0.0
+    for k in range(n_steps):
+        t = k * dt_c
+        x_ddot = acceleration(x, v, PL, plant)
+        xd, xd_dot, xd_ddot, xd_dddot = reference_at(t, sc.amplitude, sc.omega)
+        xerr, xerr_dot, xerr_ddot = x - xd, v - xd_dot, x_ddot - xd_ddot
+        e = combined_error(xerr, xerr_dot, xerr_ddot, cp)
+        b = input_gain_b(x, v, x_ddot, sign_prev, cp.model)
+        u_hat = equivalent_control(x, v, x_ddot, xerr_dot, xerr_ddot, xd_dddot, a, b, cp)
+        # membership would refuse it as a ValueError, and a frozen run never calls it
+        if not math.isfinite(u_hat):
+            raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
+        d_hat = 0.0
+        if not sc.freeze_adaptation:
+            psi = membership(u_hat, est.centers)
+            d_hat = infer(theta, psi)
+            theta = adapt(theta, e, psi, cp.phi, dt_c)
+        u = control_law(u_hat, d_hat, e, cp)
+        _ROW.pack_into(buf, k * _ROW.size, t, x, xd, xerr, v, PL, u, u_hat,
+                       dead_zone_d(u, plant), d_hat, e, ps)
+        sign_prev = sgn(u)
         try:
-            for _ in substeps:
-                # stage 1 at (x, v, PL): finite after the last step's check
-                # (or Scenario's), with the force balance a as its dv/dt
-                drop = ps - PL if opening else ps + PL
-                if drop < eps_cav:
-                    drop = eps_cav
-                q = cq * sqrt(drop / rho)
-                dp1 = g * (q - Ap * v - Ctp * PL)
-                # stage 2
-                x2, v2, P2 = x + h * v, v + h * a, PL + h * dp1
-                dv2 = (Ap * P2 - Bp * v2 - K * x2) / Mt
-                drop = ps - P2 if opening else ps + P2
-                if drop < eps_cav:
-                    drop = eps_cav
-                q = cq * sqrt(drop / rho)
-                dp2 = g * (q - Ap * v2 - Ctp * P2)
-                # stage 3
-                x3, v3, P3 = x + h * v2, v + h * dv2, PL + h * dp2
-                dv3 = (Ap * P3 - Bp * v3 - K * x3) / Mt
-                drop = ps - P3 if opening else ps + P3
-                if drop < eps_cav:
-                    drop = eps_cav
-                q = cq * sqrt(drop / rho)
-                dp3 = g * (q - Ap * v3 - Ctp * P3)
-                # stage 4
-                x4, v4, P4 = x + dt_p * v3, v + dt_p * dv3, PL + dt_p * dp3
-                dv4 = (Ap * P4 - Bp * v4 - K * x4) / Mt
-                drop = ps - P4 if opening else ps + P4
-                if drop < eps_cav:
-                    drop = eps_cav
-                q = cq * sqrt(drop / rho)
-                dp4 = g * (q - Ap * v4 - Ctp * P4)
-                x_n = x + w * (v + 2.0 * (v2 + v3) + v4)
-                v_n = v + w * (a + 2.0 * (dv2 + dv3) + dv4)
-                P_n = PL + w * (dp1 + 2.0 * (dp2 + dp3) + dp4)
-                if not isfinite(x_n + v_n + P_n):
-                    # a non-finite stage leaves a non-finite result (see the
-                    # docstring): rk4_step names it, or returns when the
-                    # finite parts only overflowed their sum
-                    x_n, v_n, P_n = rk4_step(x, v, PL, u, ps, dt_p, plant)
-                x, v = x_n, v_n
-                PL = ps if P_n > ps else -ps if P_n < -ps else P_n
-                if varying:  # for the next substep, or the next row
-                    ps = Ps0 * (1.0 + 0.2 * sin(x))
-                a = (Ap * PL - Bp * v - K * x) / Mt
+            for _ in range(sc.substeps):
+                x, v, PL = rk4_step(x, v, PL, u, ps, sc.dt_plant, plant)
+                ps = supply_pressure(mode, x, plant.Ps)
         except BlowUpError as err:
             raise BlowUpError(
                 f"{err} (control period starting at t={t:.6g} s)", time=t
             ) from None
+    return _scored(buf, n_steps, dt_c, est.centers, monitor)
 
+
+def _scored(buf: bytearray, n_steps: int, dt_control: float,
+            centers: tuple[float, ...], monitor: MonitorParams) -> SimResult:
+    """The SimResult of a filled row buffer: its columns, read with no copy,
+    scored once with the run's grid and monitor."""
     import numpy as np
 
     rows = np.frombuffer(buf, dtype=np.float64).reshape(n_steps, len(SERIES))
     series = dict(zip(SERIES, rows.T))
-    metrics, report = _compute_metrics(series, dt_c, centers, monitor)
+    metrics, report = _compute_metrics(series, dt_control, centers, monitor)
     return SimResult(**series, metrics=metrics, monitor=report)
 
 

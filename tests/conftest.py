@@ -11,10 +11,10 @@ import time
 
 import pytest
 
-from ehservo import ControllerParams, FuzzyEstimator, MonitorParams, PlantParams, Scenario
+from ehservo import FuzzyEstimator, MonitorParams, Scenario
 from ehservo import sim
 from ehservo.sim import SERIES, SimResult
-from reference import assert_run_replays, nominal_run
+from reference import nominal_run
 
 
 @pytest.fixture(scope="session")
@@ -37,15 +37,6 @@ def default_run(long_run):
     metrics, monitor = sim._compute_metrics(series, sc.dt_control, FuzzyEstimator().centers,
                                             MonitorParams())
     return SimResult(**series, metrics=metrics, monitor=monitor)
-
-
-@pytest.fixture(scope="session")
-def default_reference(default_run):
-    """The reference loop's replay of the default run, which the run must
-    equal bit for bit; it carries the gain and consequents of every step."""
-    plant = PlantParams()
-    return assert_run_replays(Scenario(), plant, ControllerParams(model=plant),
-                              FuzzyEstimator(), default_run)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,13 @@
-"""The closed loop of sim.run composed from the package's public functions.
+"""Helpers of the closed-loop tests: the kernel replay, the nominal run and
+the exact dead-zone inverse.
 
-run's kernel inlines every layer over plain floats. This loop calls each
-layer once per step instead, and is the one reference the kernel tests hold
-run to: every SERIES column bit for bit, or the same BlowUpError message at
-the same time.
+run's kernel inlines every layer over plain floats; sim.composed_run calls
+each layer once per step instead, and is the one reference the kernel tests
+hold run to: every SERIES column bit for bit, or the same BlowUpError message
+at the same time.
 """
 
-import math
-from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
@@ -19,81 +19,12 @@ from ehservo import (
     PlantParams,
     Scenario,
     SimResult,
-    acceleration,
-    adapt,
-    combined_error,
-    control_law,
-    dead_zone_d,
-    equivalent_control,
-    infer,
     input_gain_b,
-    membership,
     model_coefficients,
-    reference_at,
-    rk4_step,
     run,
-    sgn,
-    supply_pressure,
 )
+from ehservo import sim
 from ehservo.sim import SERIES
-
-
-@dataclass(frozen=True)
-class Reference:
-    """The series of one run, with the estimator and gain state behind them."""
-
-    series: dict[str, np.ndarray]   # SERIES name -> column, one entry per step
-    theta: np.ndarray               # consequents in force at each step, one row per step
-    b: np.ndarray                   # input gain the controller used at each step
-
-
-def reference_run(sc: Scenario, plant: PlantParams, cp: ControllerParams,
-                  est: FuzzyEstimator) -> Reference:
-    """run(sc, plant, cp, est), one public function call per layer and step.
-
-    Raises BlowUpError where run does, with run's message and time.
-    """
-    a = model_coefficients(cp.model)
-    mode = sc.supply_pressure_mode
-    adaptive = not sc.freeze_adaptation
-    rows, thetas, gains = [], [], []
-    theta = est.d_hat
-    x, v, PL = sc.x0, sc.v0, sc.pl0
-    if mode == "varying" and not math.isfinite(plant.Ps * 1.2):
-        raise BlowUpError(f"non-finite varying supply peak: ps*1.2 at ps={plant.Ps!r}")
-    ps = supply_pressure(mode, x, plant.Ps)
-    sign_prev = 0.0
-    for k in range(sc.n_steps):
-        t = k * sc.dt_control
-        x_ddot = acceleration(x, v, PL, plant)
-        xd, xd_dot, xd_ddot, xd_dddot = reference_at(t, sc.amplitude, sc.omega)
-        xerr, xerr_dot, xerr_ddot = x - xd, v - xd_dot, x_ddot - xd_ddot
-        e = combined_error(xerr, xerr_dot, xerr_ddot, cp)
-        b = input_gain_b(x, v, x_ddot, sign_prev, cp.model)
-        u_hat = equivalent_control(x, v, x_ddot, xerr_dot, xerr_ddot, xd_dddot, a, b, cp)
-        if not math.isfinite(u_hat):
-            raise BlowUpError(f"non-finite equivalent control at t={t:.6g} s", time=t)
-        thetas.append(theta)
-        gains.append(b)
-        d_hat = 0.0
-        if adaptive:
-            psi = membership(u_hat, est.centers)
-            d_hat = infer(theta, psi)
-            theta = adapt(theta, e, psi, cp.phi, sc.dt_control)
-        u = control_law(u_hat, d_hat, e, cp)
-        rows.append((t, x, xd, xerr, v, PL, u, u_hat, dead_zone_d(u, plant),
-                     d_hat, e, ps))
-        sign_prev = sgn(u)
-        try:
-            for _ in range(sc.substeps):
-                x, v, PL = rk4_step(x, v, PL, u, ps, sc.dt_plant, plant)
-                ps = supply_pressure(mode, x, plant.Ps)
-        except BlowUpError as err:
-            raise BlowUpError(
-                f"{err} (control period starting at t={t:.6g} s)", time=t
-            ) from None
-    series = dict(zip(SERIES, np.array(rows).T))
-    return Reference(series, np.array(thetas), np.array(gains))
 
 
 def _outcome(loop, *args):
@@ -103,25 +34,31 @@ def _outcome(loop, *args):
         return None, (str(err), err.time)
 
 
+def assert_same_series(got: SimResult, want: SimResult) -> None:
+    """Require every SERIES column of got to equal want's bit for bit."""
+    for name in SERIES:
+        differ = np.flatnonzero(getattr(got, name).view(np.uint64)
+                                != getattr(want, name).view(np.uint64))
+        assert differ.size == 0, f"{name} differs at {differ.size} samples, first {differ[0]}"
+
+
 def assert_run_replays(sc: Scenario, plant: PlantParams, cp: ControllerParams,
-                       est: FuzzyEstimator, result: SimResult | None = None
-                       ) -> Reference | None:
-    """Require run to equal reference_run: every SERIES column bit for bit,
+                       est: FuzzyEstimator) -> SimResult | None:
+    """Require run to equal sim.composed_run: every SERIES column bit for bit,
     or the same BlowUpError message at the same time.
 
-    result, when given, is run's SimResult for these arguments, made already.
-    Returns the reference, or None when both blew up.
+    run must hand over to composed_run once on a blow-up and never on a run
+    that completes: a kernel that went non-finite on every step would
+    otherwise pass by comparing the composed loop with itself. Returns
+    composed_run's result, or None when both blew up.
     """
-    reference, reference_err = _outcome(reference_run, sc, plant, cp, est)
-    if result is None or reference_err is not None:
+    with mock.patch.object(sim, "composed_run", wraps=sim.composed_run) as handover:
         result, run_err = _outcome(run, sc, plant, cp, est)
-        assert run_err == reference_err
-        if run_err is not None:
-            return None
-    for name in SERIES:
-        got = getattr(result, name).view(np.uint64)
-        differ = np.flatnonzero(got != reference.series[name].view(np.uint64))
-        assert differ.size == 0, f"{name} differs at {differ.size} samples, first {differ[0]}"
+    reference, reference_err = _outcome(sim.composed_run, sc, plant, cp, est)
+    assert run_err == reference_err
+    assert handover.call_count == (reference_err is not None)
+    if reference is not None:
+        assert_same_series(result, reference)
     return reference
 
 

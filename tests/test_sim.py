@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ from ehservo.sim import SERIES, SUPPLY_MODES
 from lyapunov import lyapunov_series
 from reference import (
     assert_run_replays,
+    assert_same_series,
     exact_inverse,
     nominal_run,
-    reference_run,
     sampled_data_floor,
 )
 
@@ -188,7 +189,7 @@ class TestRunMechanics:
     def test_zero_order_hold_replay(self, mode):
         # the plant sees one constant u over the five substeps of each control
         # period, and each substep the supply pressure at the state it starts
-        # from: run equals the reference loop of rk4_step under that hold
+        # from: run equals composed_run, which calls rk4_step under that hold
         plant = PlantParams()
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=5.0, dt_plant=1 / 2000, supply_pressure_mode=mode)
@@ -207,8 +208,8 @@ class TestRunMechanics:
         assert message.endswith(" (control period starting at t=0.005 s)")
 
     @pytest.mark.parametrize("start, phi, message, time", [
-        # a finite start whose velocity overflows the model's a1*v: both loops
-        # refuse the first equivalent control, before any voltage is formed
+        # a finite start whose velocity overflows the model's a1*v: composed_run
+        # refuses the first equivalent control, before any voltage is formed
         ({"v0": 1e305}, 0.5, "non-finite equivalent control at t=0 s", 0.0),
         # the first step's update overflows a consequent, and the voltage of
         # the next step that fires its rule is caught at the spool
@@ -238,8 +239,8 @@ class TestRunMechanics:
         ({"v0": -1e301}, SHUT_SPOOL, 2),
     ], ids=["stage2", "stage3", "stage4", "combine", "shut-stage2", "shut-stage2-nan"])
     def test_blow_up_names_the_first_non_finite_stage(self, start, plant, stage, monkeypatch):
-        # run checks once per substep; its message and time must still be
-        # those of the reference loop, whose rk4_step checks every stage
+        # run checks once per substep and hands the run over to composed_run,
+        # whose rk4_step checks every stage and names the first that failed
         cp = ControllerParams(model=plant)
         sc = Scenario(duration=1.0, **start)
         voltages = []  # the held voltage, once per stage called
@@ -247,7 +248,7 @@ class TestRunMechanics:
             m.setattr(sim, "plant_derivatives", lambda x, v, PL, u, ps, p:
                       voltages.append(u) or plant_derivatives(x, v, PL, u, ps, p))
             with pytest.raises(BlowUpError) as ref_err:
-                reference_run(sc, plant, cp, FuzzyEstimator())
+                sim.composed_run(sc, plant, cp, FuzzyEstimator())
         assert (dead_zone_output(voltages[0], plant) == 0.0) == (plant is SHUT_SPOOL)
         message = str(ref_err.value)
         after_combine = message.startswith("non-finite state after RK4 step: ")
@@ -259,27 +260,29 @@ class TestRunMechanics:
 
     def test_shut_spool_with_infinite_radicand_continues(self):
         # at rho = 1e-306 every orifice radicand drop/rho overflows while the
-        # state stays finite: a shut spool passes no flow (load_flow's
-        # QL = 0), and the run equals the reference loop of rk4_step
+        # state stays finite: the kernel's flow cq*sqrt(drop/rho) is 0*inf =
+        # NaN, so run hands over once, and composed_run's shut spool passes
+        # no flow (load_flow's QL = 0) and completes
         plant = replace(SHUT_SPOOL, rho=1e-306)
         cp = ControllerParams(model=PlantParams())
         sc = Scenario(duration=0.05, x0=0.01, v0=0.1, pl0=1e5)
-        ref = assert_run_replays(sc, plant, cp, FuzzyEstimator())
-        assert not np.any(ref.series["u"] - ref.series["d"])
+        with mock.patch.object(sim, "composed_run", wraps=sim.composed_run) as handover:
+            res = run(sc, plant, cp, FuzzyEstimator())
+        assert handover.call_count == 1
+        assert not np.any(res.u - res.d)
 
-    def test_sum_only_overflow_continues(self, monkeypatch):
+    def test_sum_only_overflow_continues(self):
         # a state next to the largest float, whose unclamped x + v + PL
-        # overflows after every substep while each part stays finite: run
-        # replays each substep through rk4_step, which returns, and goes on
-        # from its state
+        # overflows after the first substep while each part stays finite: run
+        # hands over to composed_run once, whose rk4_step returns each substep,
+        # and the run completes
         plant = replace(PlantParams(), beta_e=1e5, Vt=0.03, Bp=0.0, K=0.1)
         cp = ControllerParams(lam=1e-3, model=plant)
         sc = Scenario(duration=0.01, amplitude=0.0, x0=sys.float_info.max)
-        replays = []
-        monkeypatch.setattr(sim, "rk4_step", lambda *args: replays.append(1) or rk4_step(*args))
-        res = run(sc, plant, cp, FuzzyEstimator())
-        assert len(replays) == sc.n_steps * sc.substeps
-        assert_run_replays(sc, plant, cp, FuzzyEstimator(), res)
+        with mock.patch.object(sim, "composed_run", wraps=sim.composed_run) as handover:
+            res = run(sc, plant, cp, FuzzyEstimator())
+        assert handover.call_count == 1
+        assert_same_series(res, sim.composed_run(sc, plant, cp, FuzzyEstimator()))
 
     def test_columns_cost_eight_bytes_a_value(self):
         # the twelve series are stored unboxed, 96 bytes a row, and handed to
@@ -343,8 +346,8 @@ def _rms_and_segments(res, w):
 
 class TestKernelReplay:
     """run inlines the controller, the estimator and the plant over plain
-    floats; the reference loop of the public functions (tests/reference.py)
-    is what it must equal bit for bit.
+    floats; sim.composed_run, the loop of the layer functions, is what it must
+    equal bit for bit, without handing a completed run over to it.
 
     The adaptive loop on constant supply is replayed by test_default_run, the
     varying supply by the varying case of test_controller_columns, and the
@@ -362,9 +365,8 @@ class TestKernelReplay:
     ], ids=["varying-False", "constant-True", "frozen-300-900"])
     def test_controller_columns(self, sc, past_edges):
         plant = PlantParams()
-        series = assert_run_replays(sc, plant, ControllerParams(model=plant),
-                                    FuzzyEstimator()).series
-        u, uhat, Ps = series["u"], series["uhat"], series["Ps"]
+        ref = assert_run_replays(sc, plant, ControllerParams(model=plant), FuzzyEstimator())
+        u, uhat, Ps = ref.u, ref.uhat, ref.Ps
         if past_edges:
             assert u.min() < plant.delta_l and u.max() > plant.delta_r
         if sc.supply_pressure_mode == "varying":
@@ -373,9 +375,11 @@ class TestKernelReplay:
             assert np.any(uhat <= c[0]) and np.any(uhat >= c[-1])
             assert np.any((uhat > c[0]) & (uhat < c[-1]))
 
-    def test_default_run(self, default_reference):
-        # the replay of the default 120 s run, which the energy check reads
-        assert len(default_reference.b) == Scenario().n_steps
+    def test_default_run(self):
+        # the one replay of the default 120 s run, whose series the energy
+        # check reads
+        plant = PlantParams()
+        assert_run_replays(Scenario(), plant, ControllerParams(model=plant), FuzzyEstimator())
 
     @pytest.mark.parametrize("mode", ["constant", "varying"])
     def test_mismatched_model(self, mode):
@@ -390,7 +394,7 @@ class TestKernelReplay:
         sc = Scenario(duration=5.0, supply_pressure_mode=mode)
         ref = assert_run_replays(sc, plant, ControllerParams(model=model), FuzzyEstimator())
         matched = run(sc, plant, ControllerParams(model=plant), FuzzyEstimator())
-        assert not np.array_equal(ref.series["x"], matched.x)
+        assert not np.array_equal(ref.x, matched.x)
 
     def test_non_default_grid_and_start(self):
         # a faster reference drives u_hat past both shoulders and through the
@@ -400,7 +404,7 @@ class TestKernelReplay:
         centers = (-0.3, -0.05, 0.0, 0.05, 0.3)
         est = FuzzyEstimator(centers, (-0.6, -0.2, 0.0, 0.2, 0.5))
         sc = Scenario(duration=15.0, omega=0.5)
-        uhat = assert_run_replays(sc, plant, cp, est).series["uhat"]
+        uhat = assert_run_replays(sc, plant, cp, est).uhat
         assert np.any(uhat <= centers[0]) and np.any(uhat >= centers[-1])
         assert np.any((uhat > centers[0]) & (uhat < centers[-1]))
 
@@ -533,7 +537,7 @@ class TestClosedLoopProperties:
         b = fine.metrics.rms_xerr_final_quarter
         assert abs(b - a) / a < 0.01
 
-    def test_e2_decrease_fraction(self, default_run, default_reference):
+    def test_e2_decrease_fraction(self, default_run):
         """The energy argument of the control law: its Lyapunov function
         V = e^2/(2b) + |theta - theta*|^2/(2 phi) is non-increasing in at least
         99% of the post-transient samples with |e| >= 1e-3.
@@ -545,8 +549,9 @@ class TestClosedLoopProperties:
         """
         plant = PlantParams()
         cp = ControllerParams(model=plant)
-        V = lyapunov_series(default_reference, FuzzyEstimator().centers, plant, cp.phi)
-        floor = sampled_data_floor(Scenario(), cp)
+        sc = Scenario()
+        V = lyapunov_series(default_run, FuzzyEstimator(), plant, cp, sc.dt_control)
+        floor = sampled_data_floor(sc, cp)
         threshold = 1e-3
         i0 = max(1, len(V) // 4)
         counted = np.abs(default_run.e[i0:]) >= threshold
