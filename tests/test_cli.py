@@ -162,14 +162,15 @@ class TestSchema:
         assert f"{key} = " in dumped
         assert resolve_config(parse_kv(dumped)) == cfg
 
-    # The plant keys all meet PlantParams' one check_fields call, so one value each, cycling
-    # over them, checks that the refusal names the key. The other number keys keep all three
-    # values, centers and d_hat_init through FuzzyEstimator's own checks; centers get a
-    # second entry, so that finiteness, not length, refuses them.
+    # Every single-number key meets one check_fields call and its one math.isfinite test, so
+    # one value each, cycling over the keys, plant keys first, checks that the refusal names
+    # the key. centers and d_hat_init keep all three, through FuzzyEstimator's own checks;
+    # centers get a second entry, so that finiteness, not length, refuses them.
     @pytest.mark.parametrize("value, key", [*zip(cycle(["inf", "-inf", "nan"]), sorted(
-        key for key, (part, _, _) in _SCHEMA.items() if part == "plant")),
-        *product(["inf", "-inf", "nan"], sorted(key for key, (part, _, kind) in _SCHEMA.items()
-                 if part != "plant" and kind in (_NUMBER, _NUMBERS)))])
+        (key for key, (_, _, kind) in _SCHEMA.items() if kind is _NUMBER),
+        key=lambda key: (_SCHEMA[key][0] != "plant", key))),
+        *product(["inf", "-inf", "nan"], sorted(key for key, (_, _, kind) in _SCHEMA.items()
+                 if kind is _NUMBERS))])
     def test_non_finite_number_named(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must (all )?be finite\b"):
             resolve_config({key: f"0, {value}" if key == "centers" else value})

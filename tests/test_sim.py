@@ -211,10 +211,12 @@ class TestRunMechanics:
         # a finite start whose velocity overflows the model's a1*v: composed_run
         # refuses the first equivalent control, before any voltage is formed
         ({"v0": 1e305}, 0.5, "non-finite equivalent control at t=0 s", 0.0),
-        # the first step's update overflows a consequent, and the voltage of
-        # the next step that fires its rule is caught at the spool
-        ({"x0": 100.0}, 1e308, "non-finite spool displacement: x_sp=-inf at u=-inf "
-         "(control period starting at t=0.005 s)", 0.005),
+        # updates of about 1.6e299 grow the consequents until the plant's
+        # overflowing error overflows one, and the next voltage that fires an
+        # overflowed rule is caught at the spool, whether û or û - κe is the
+        # membership input
+        ({"x0": 100.0}, 1e298, "non-finite spool displacement: x_sp=inf at u=inf "
+         "(control period starting at t=0.01 s)", 0.01),
     ], ids=["equivalent_control", "voltage"])
     def test_non_finite_control_value_has_one_catcher(self, start, phi, message, time):
         sc = Scenario(duration=0.1, **start)
