@@ -121,14 +121,13 @@ def dead_zone_d(u: float, p: PlantParams) -> float:
 def load_flow(x_sp: float, PL: float, ps: float, p: PlantParams) -> float:
     """Flow [m^3/s] delivered to the actuator at spool displacement x_sp.
 
-    Square-root orifice law on the drop ps - sgn(x_sp)*PL from the held supply
-    ps. The drop is floored at EPS_CAV so the radicand stays positive when |PL|
-    transiently approaches ps; a centered spool passes exactly zero flow.
+    Square-root orifice law on the drop from the held supply: ps - PL for an
+    opening spool (x_sp > 0), ps + PL otherwise, floored at EPS_CAV so the
+    radicand stays positive when |PL| transiently approaches ps. A shut spool
+    passes zero flow wherever drop/rho is finite.
     """
     if not (math.isfinite(x_sp) and math.isfinite(PL)):
         raise ValueError(f"load_flow requires finite inputs, got x_sp={x_sp}, PL={PL}")
-    if x_sp == 0.0:
-        return 0.0
     drop = ps - PL if x_sp > 0.0 else ps + PL
     if drop < EPS_CAV:
         drop = EPS_CAV

@@ -207,9 +207,10 @@ def rk4_step(x: float, v: float, PL: float, u: float, ps: float, dt: float,
     Returns the new state as the tuple (x, v, PL). Its four stages call
     plant_derivatives, the written reference of the plant. composed_run takes
     one rk4_step a substep; run's loop carries the one inlined copy of it and
-    hands over to composed_run on any non-finite value. The load pressure is
-    clamped to [-ps, ps] afterwards; beyond that range the orifice model
-    stops being physical.
+    hands over to composed_run on any non-finite value. Its one check of the
+    combined state is the kernel's, a finite x + v + PL. The load pressure is
+    then clamped to [-ps, ps]; beyond that range the orifice model stops
+    being physical.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be strictly positive, got {dt}")
@@ -222,8 +223,8 @@ def rk4_step(x: float, v: float, PL: float, u: float, ps: float, dt: float,
     x = x + w * (k1x + 2.0 * (k2x + k3x) + k4x)
     v = v + w * (k1v + 2.0 * (k2v + k3v) + k4v)
     PL = PL + w * (k1p + 2.0 * (k2p + k3p) + k4p)
-    if not (math.isfinite(x) and math.isfinite(v) and math.isfinite(PL)):
-        raise BlowUpError(f"non-finite state after RK4 step: x={x}, v={v}, PL={PL}")
+    if not math.isfinite(x + v + PL):
+        raise BlowUpError(f"non-finite x + v + PL after RK4 step: x={x}, v={v}, PL={PL}")
     if PL > ps:
         PL = ps
     elif PL < -ps:
@@ -261,9 +262,9 @@ def run(
     run over to it, from t = 0, at a varying supply whose peak Ps*1.2
     overflows, at a non-finite equivalent control, and at a non-finite
     x + v + PL after a substep's RK4 combine. composed_run's layer functions
-    then raise their own message, or complete the run where only that sum
-    overflowed. The one sum check misses no stage, because a non-finite stage
-    always leaves a non-finite sum.
+    then raise their own message: run hands over exactly when it blows up.
+    The one sum check misses no stage, because a non-finite stage always
+    leaves a non-finite sum.
     """
     n_steps = scenario.n_steps
     n_sub = scenario.substeps
@@ -365,8 +366,8 @@ def run(
         x_sp = kv * (u - d)  # the dead-zone decomposition: dead_zone_output(u)
         # the spool is held over the period: its flow branch and load_flow's
         # first flow product cdw*x_sp are formed once. A shut spool gives
-        # cq = 0 and so q = 0, load_flow's QL, with no branch of its own; on
-        # an infinite radicand q is NaN, and the substep check hands it over.
+        # cq = 0 and so q = 0, as load_flow does; on an infinite radicand q is
+        # NaN, and the run blows up.
         opening = x_sp > 0.0
         cq = cdw * x_sp
         for _ in substeps:

@@ -34,14 +34,6 @@ def _outcome(loop, *args):
         return None, (str(err), err.time)
 
 
-def assert_same_series(got: SimResult, want: SimResult) -> None:
-    """Require every SERIES column of got to equal want's bit for bit."""
-    for name in SERIES:
-        differ = np.flatnonzero(getattr(got, name).view(np.uint64)
-                                != getattr(want, name).view(np.uint64))
-        assert differ.size == 0, f"{name} differs at {differ.size} samples, first {differ[0]}"
-
-
 def assert_run_replays(sc: Scenario, plant: PlantParams, cp: ControllerParams,
                        est: FuzzyEstimator) -> SimResult | None:
     """Require run to equal sim.composed_run: every SERIES column bit for bit,
@@ -58,7 +50,10 @@ def assert_run_replays(sc: Scenario, plant: PlantParams, cp: ControllerParams,
     assert run_err == reference_err
     assert handover.call_count == (reference_err is not None)
     if reference is not None:
-        assert_same_series(result, reference)
+        for name in SERIES:
+            differ = np.flatnonzero(getattr(result, name).view(np.uint64)
+                                    != getattr(reference, name).view(np.uint64))
+            assert differ.size == 0, f"{name} differs at {differ.size} samples, first {differ[0]}"
     return reference
 
 

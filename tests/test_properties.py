@@ -195,7 +195,7 @@ edges = st.floats(0.0, 1e300, exclude_min=True)
     st.floats(1.0, 1e308) | st.floats(1e308, sys.float_info.max),
     edges, edges, st.floats(-2.0, 2.0), st.sampled_from(SUPPLY_MODES), st.booleans(),
 )
-# 1.6e308*(1 + 0.2*sin 1) overflows the starting supply, which a shut spool never reads
+# 1.6e308*(1 + 0.2*sin 1) overflows the starting supply: the run blows up at t = 0
 @example(1.6e308, 1e300, 1e300, 1.0, "varying", False)
 def test_completed_run_is_finite(ps, left, right, x0, mode, frozen):
     # a run blows up, or completes with every series and metric finite

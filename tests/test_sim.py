@@ -5,7 +5,6 @@ import sys
 import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from ehservo.sim import SERIES, SUPPLY_MODES
 from lyapunov import lyapunov_series
 from reference import (
     assert_run_replays,
-    assert_same_series,
     exact_inverse,
     nominal_run,
     sampled_data_floor,
@@ -42,6 +40,9 @@ from reference import (
 SHUT_SPOOL = replace(
     PlantParams(), delta_l=-sys.float_info.max, delta_r=sys.float_info.max
 )
+# a plant on which a state next to the largest float keeps x, v and PL
+# finite over a substep while their sum overflows
+SUM_ONLY = replace(PlantParams(), beta_e=1e5, Vt=0.03, Bp=0.0, K=0.1)
 
 
 class TestScenarioValidation:
@@ -253,38 +254,34 @@ class TestRunMechanics:
                 sim.composed_run(sc, plant, cp, FuzzyEstimator())
         assert (dead_zone_output(voltages[0], plant) == 0.0) == (plant is SHUT_SPOOL)
         message = str(ref_err.value)
-        after_combine = message.startswith("non-finite state after RK4 step: ")
+        after_combine = message.startswith("non-finite x + v + PL after RK4 step: ")
         assert ("combine" if after_combine else len(voltages)) == stage
         assert message.endswith(" (control period starting at t=0 s)")
         with pytest.raises(BlowUpError) as err:
             run(sc, plant, cp, FuzzyEstimator())
         assert (str(err.value), err.value.time) == (message, 0.0)
 
-    def test_shut_spool_with_infinite_radicand_continues(self):
+    @pytest.mark.parametrize("plant, cp, sc, message", [
+        # a state next to the largest float, whose x + v + PL overflows after
+        # the first substep while each part stays finite
+        (SUM_ONLY, ControllerParams(lam=1e-3, model=SUM_ONLY),
+         Scenario(duration=0.01, amplitude=0.0, x0=sys.float_info.max),
+         "non-finite x + v + PL after RK4 step: x=1.7976931343005368e+308, "
+         "v=-8.988461744108407e+301, PL=2.7259642346654553e+304"),
         # at rho = 1e-306 every orifice radicand drop/rho overflows while the
-        # state stays finite: the kernel's flow cq*sqrt(drop/rho) is 0*inf =
-        # NaN, so run hands over once, and composed_run's shut spool passes
-        # no flow (load_flow's QL = 0) and completes
-        plant = replace(SHUT_SPOOL, rho=1e-306)
-        cp = ControllerParams(model=PlantParams())
-        sc = Scenario(duration=0.05, x0=0.01, v0=0.1, pl0=1e5)
-        with mock.patch.object(sim, "composed_run", wraps=sim.composed_run) as handover:
-            res = run(sc, plant, cp, FuzzyEstimator())
-        assert handover.call_count == 1
-        assert not np.any(res.u - res.d)
-
-    def test_sum_only_overflow_continues(self):
-        # a state next to the largest float, whose unclamped x + v + PL
-        # overflows after the first substep while each part stays finite: run
-        # hands over to composed_run once, whose rk4_step returns each substep,
-        # and the run completes
-        plant = replace(PlantParams(), beta_e=1e5, Vt=0.03, Bp=0.0, K=0.1)
-        cp = ControllerParams(lam=1e-3, model=plant)
-        sc = Scenario(duration=0.01, amplitude=0.0, x0=sys.float_info.max)
-        with mock.patch.object(sim, "composed_run", wraps=sim.composed_run) as handover:
-            res = run(sc, plant, cp, FuzzyEstimator())
-        assert handover.call_count == 1
-        assert_same_series(res, sim.composed_run(sc, plant, cp, FuzzyEstimator()))
+        # state stays finite, and a shut spool's flow is 0*inf = NaN
+        (replace(SHUT_SPOOL, rho=1e-306), ControllerParams(model=PlantParams()),
+         Scenario(duration=0.05, x0=0.01, v0=0.1, pl0=1e5),
+         "non-finite plant state: x=0.0100625, v=0.100048125, PL=nan"),
+    ], ids=["sum_only", "shut_spool_infinite_radicand"])
+    def test_finite_parts_of_a_non_finite_sum_blow_up(self, plant, cp, sc, message):
+        # rk4_step and load_flow follow the kernel's sum check and flow, so
+        # both loops blow up at t = 0, with one handover
+        assert assert_run_replays(sc, plant, cp, FuzzyEstimator()) is None
+        with pytest.raises(BlowUpError) as err:
+            run(sc, plant, cp, FuzzyEstimator())
+        assert (str(err.value), err.value.time) == (
+            f"{message} (control period starting at t=0 s)", 0.0)
 
     def test_columns_cost_eight_bytes_a_value(self):
         # the twelve series are stored unboxed, 96 bytes a row, and handed to
